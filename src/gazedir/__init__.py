@@ -6,7 +6,7 @@ eye, and their class probabilities are fused by averaging.
 """
 
 from .dataset import EacClass, Sample, ThreeClass
-from .nn import Model, build_gaze_net, load_model, model_forward, save_model, train_epoch
+from .nn import Model, build_gaze_net, load_model, save_model, train_epoch
 from .fusion import evaluate, fuse_scores, predict_class
 from .preprocess import Box, EyeLandmarks
 
@@ -23,7 +23,6 @@ __all__ = [
     "evaluate",
     "fuse_scores",
     "load_model",
-    "model_forward",
     "predict_class",
     "save_model",
     "train_epoch",

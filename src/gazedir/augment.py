@@ -125,19 +125,15 @@ def rescale(img: np.ndarray, factor: float) -> np.ndarray:
     return _restore_dtype(out, img)
 
 
-def expand(
-    patches: list[EyePatch], policy: AugmentPolicy, seed: int = 0
-) -> list[EyePatch]:
+def expand(patches: list[EyePatch], policy: AugmentPolicy) -> list[EyePatch]:
     """Originals plus one variant per listed parameter, labels preserved.
 
     Output count is n * (1 + |rotations| + |sigmas| + |scales|). The grid is
-    applied in a fixed order, so the result is deterministic; seed is accepted
-    for policies that may add sampled parameters.
+    applied in a fixed order, so the result is deterministic.
     """
     for p in patches:
         if p.split == "test":
             raise ValueError("augmentation must not be applied to the test split")
-    del seed  # fixed grid; nothing sampled
     out: list[EyePatch] = []
     for p in patches:
         out.append(p)

@@ -1,6 +1,7 @@
 """Command-line pipeline: synth | train | eval | predict | bench.
 
-Exit codes: 0 success, 1 validation/config error, 2 I/O error.
+Exit codes: 0 success, 1 validation/config error (including a malformed
+model file, non-finite scores and diverged training), 2 I/O error.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _eye_tensors(cfg: RunConfig, records, side: str, split: str, expand: bool):
         labels=[r[1] for r in records],
     )
     if expand:
-        patches = augment.expand(patches, cfg.policy, cfg.seed)
+        patches = augment.expand(patches, cfg.policy)
     return dataset.patches_to_tensors(patches)
 
 
@@ -346,7 +347,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, FloatingPointError) as exc:
+        # FloatingPointError: non-finite scores or a diverged training loss
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -279,17 +279,3 @@ def make_eye_patches(
 def patches_to_tensors(patches: list[EyePatch]) -> list[tuple[np.ndarray, int]]:
     return [(preprocess.normalize(p.pixels), p.label) for p in patches]
 
-
-def make_eye_samples(
-    samples: list[Sample],
-    side: str,
-    mode: str,
-    patch_hw: tuple[int, int] | None = None,
-    image_root: str = "",
-    labels=None,
-) -> list[tuple[np.ndarray, int]]:
-    """Preprocess chain for one eye: list of (tensor (1,H,W), label) pairs."""
-    patches = make_eye_patches(
-        samples, side, mode, patch_hw=patch_hw, image_root=image_root, labels=labels
-    )
-    return patches_to_tensors(patches)

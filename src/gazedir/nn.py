@@ -5,8 +5,9 @@ dense, softmax cross-entropy), plain SGD, a three-stage network builder,
 finite-difference gradient checking, and a binary model format.
 
 Tensors are C-order (row-major) numpy arrays: float32 in production,
-float64 in gradient-check mode. The kernels run on stacked minibatches
-(B, C, H, W); the single-sample operations wrap them with B=1.
+float64 in gradient-check mode. Every layer runs on stacked minibatches
+(B, C, H, W); a single sample is a batch of one. Layer shapes are checked
+once, when a Model is built.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ MODEL_FORMAT_VERSION = 1
 # u8 tags in the model file, one per layer kind
 _KIND_TAGS = {"Conv2D": 0, "ReLU": 1, "MaxPool2": 2, "Dense": 3, "SoftmaxCE": 4}
 _TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
-
-
-def assert_finite(x: np.ndarray, what: str = "tensor") -> None:
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError(f"non-finite values in {what}")
 
 
 # --------------------------------------------------------------------------
@@ -65,56 +61,24 @@ def _conv_fwd(cols: np.ndarray, weights: np.ndarray, bias: np.ndarray, hw) -> np
     return out.reshape(b, out_ch, *hw)
 
 
-def _conv_bwd(upstream4, cols, input_shape, weights, need_input_grad=True, up_cols=None):
-    b, out_ch, h, w = upstream4.shape
-    grad_bias = upstream4.sum(axis=(0, 2, 3))
-    up_mat = upstream4.reshape(b, out_ch, h * w)
-    grad_weights = (up_mat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(weights.shape)
-    if not need_input_grad:
-        return None, grad_weights, grad_bias
-    # input gradient == same-padded correlation of upstream with kernels
-    # flipped in both spatial dims and with in/out channels swapped
-    flipped = np.ascontiguousarray(weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    kh, kw = flipped.shape[2], flipped.shape[3]
-    if up_cols is None:
-        up_cols = _conv_cols(upstream4, kh, kw)
-    grad_input = _conv_fwd(
-        up_cols, flipped, np.zeros(flipped.shape[0], dtype=upstream4.dtype), (h, w)
-    )
-    return grad_input.reshape(input_shape), grad_weights, grad_bias
-
-
-def _pool_fwd(x4: np.ndarray):
-    b, c, h, w = x4.shape
-    ho, wo = h // 2, w // 2
-    win = x4[:, :, : ho * 2, : wo * 2].reshape(b, c, ho, 2, wo, 2)
-    win = win.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, ho, wo, 4)
-    idx = win.argmax(axis=4)  # first max wins: row-major tie-break
-    out = np.take_along_axis(win, idx[..., None], axis=4)[..., 0]
-    return out, idx
-
-
-def _pool_bwd(upstream4, idx4, input_shape):
-    b, c, ho, wo = upstream4.shape
-    grad = np.zeros(input_shape, dtype=upstream4.dtype)
-    u, v = idx4 // 2, idx4 % 2
-    bi = np.arange(b)[:, None, None, None]
-    ci = np.arange(c)[None, :, None, None]
-    ri = 2 * np.arange(ho)[None, None, :, None] + u
-    cj = 2 * np.arange(wo)[None, None, None, :] + v
-    grad[bi, ci, ri, cj] = upstream4
-    return grad
-
-
 def _softmax_rows(logits2: np.ndarray) -> np.ndarray:
     shifted = logits2 - logits2.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def _softmax_ce_batch(logits2: np.ndarray, labels: np.ndarray):
-    """Summed loss over the batch, plus per-row probabilities and logit grads."""
-    b = logits2.shape[0]
+def softmax_ce(logits2: np.ndarray, labels: np.ndarray):
+    """Stable softmax + cross-entropy over a batch of logit rows.
+
+    Returns (summed loss, per-row probabilities, gradient w.r.t. the logits).
+    Each row is shifted by its max before exponentiation, and the loss is a
+    shifted log-sum-exp, so magnitudes ~1e3 stay finite. Labels must lie in
+    [0, n_classes).
+    """
+    b, n = logits2.shape
+    labels = np.asarray(labels)
+    if labels.size and (labels.min() < 0 or labels.max() >= n):
+        raise ValueError(f"labels must lie in [0, {n}), got {labels.min()}..{labels.max()}")
     shifted = logits2 - logits2.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     total = exp.sum(axis=1)
@@ -124,119 +88,6 @@ def _softmax_ce_batch(logits2: np.ndarray, labels: np.ndarray):
     grad = probs.copy()
     grad[rows, labels] -= 1
     return loss, probs, grad
-
-
-# --------------------------------------------------------------------------
-# functional single-sample operations
-# --------------------------------------------------------------------------
-
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
-
-
-def relu_backward(upstream: np.ndarray, cached_input: np.ndarray) -> np.ndarray:
-    """Masked pass-through; the subgradient at exactly 0 is 0."""
-    if upstream.shape != cached_input.shape:
-        raise ValueError(
-            f"relu_backward shape mismatch: {upstream.shape} vs {cached_input.shape}"
-        )
-    return upstream * (cached_input > 0)
-
-
-def _check_conv_args(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> None:
-    if x.ndim != 3 or weights.ndim != 4:
-        raise ValueError("conv2d expects input (C,H,W) and weights (O,C,kh,kw)")
-    kh, kw = weights.shape[2], weights.shape[3]
-    if kh % 2 == 0 or kw % 2 == 0 or kh < 1 or kw < 1:
-        raise ValueError(f"kernel dims must be odd positive, got {kh}x{kw}")
-    if weights.shape[1] != x.shape[0]:
-        raise ValueError(
-            f"channel mismatch: input has {x.shape[0]}, weights expect {weights.shape[1]}"
-        )
-    if bias.shape != (weights.shape[0],):
-        raise ValueError("bias length must equal the number of output channels")
-
-
-def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Same-padded stride-1 cross-correlation; output is (O, H, W)."""
-    _check_conv_args(x, weights, bias)
-    kh, kw = weights.shape[2], weights.shape[3]
-    cols = _conv_cols(x[None], kh, kw)
-    return _conv_fwd(cols, weights, bias, x.shape[1:])[0]
-
-
-def conv2d_backward(
-    upstream: np.ndarray, cached_input: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of conv2d_forward w.r.t. (input, weights, bias)."""
-    if upstream.shape != (weights.shape[0],) + cached_input.shape[1:]:
-        raise ValueError(
-            f"conv2d_backward shape mismatch: upstream {upstream.shape}, "
-            f"input {cached_input.shape}, weights {weights.shape}"
-        )
-    kh, kw = weights.shape[2], weights.shape[3]
-    cols = _conv_cols(cached_input[None], kh, kw)
-    grad_in, grad_w, grad_b = _conv_bwd(
-        upstream[None], cols, (1,) + cached_input.shape, weights
-    )
-    return grad_in[0], grad_w, grad_b
-
-
-def maxpool2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Non-overlapping 2x2 max pool; trailing odd row/column dropped.
-
-    Returns the pooled map and per-window argmax indices (0..3 in row-major
-    window order) needed by the backward pass.
-    """
-    if x.ndim != 3:
-        raise ValueError("maxpool2 expects input (C,H,W)")
-    _, h, w = x.shape
-    if h < 2 or w < 2:
-        raise ValueError(f"maxpool2 needs spatial dims >= 2, got {h}x{w}")
-    out, idx = _pool_fwd(x[None])
-    return out[0], idx[0]
-
-
-def maxpool2_backward(
-    upstream: np.ndarray, argmax_indices: np.ndarray, input_shape: tuple[int, int, int]
-) -> np.ndarray:
-    """Routes each upstream value to its argmax position; zeros elsewhere."""
-    c, h, w = input_shape
-    if upstream.shape != (c, h // 2, w // 2) or argmax_indices.shape != upstream.shape:
-        raise ValueError("maxpool2_backward called with stale argmax indices")
-    return _pool_bwd(upstream[None], argmax_indices[None], (1, c, h, w))[0]
-
-
-def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    if x.ndim != 1 or weights.ndim != 2 or weights.shape[1] != x.shape[0]:
-        raise ValueError(
-            f"dense dimension mismatch: input {x.shape}, weights {weights.shape}"
-        )
-    return weights @ x + bias
-
-
-def dense_backward(
-    upstream: np.ndarray, cached_input: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    grad_input = weights.T @ upstream
-    grad_weights = np.outer(upstream, cached_input)
-    return grad_input, grad_weights, upstream.copy()
-
-
-def softmax_ce(
-    logits: np.ndarray, true_class: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Stable softmax + cross-entropy.
-
-    Returns (loss, probabilities, gradient w.r.t. logits). The logits are
-    shifted by their max before exponentiation, and the loss is computed as a
-    shifted log-sum-exp, so magnitudes ~1e3 stay finite.
-    """
-    n = logits.shape[0]
-    if not 0 <= true_class < n:
-        raise ValueError(f"class index {true_class} out of range for {n} classes")
-    loss, probs, grad = _softmax_ce_batch(logits[None], np.array([true_class]))
-    return loss, probs[0], grad[0]
 
 
 def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> list[np.ndarray]:
@@ -254,12 +105,34 @@ def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> li
 
 # --------------------------------------------------------------------------
 # layers with parameters and caches (batched: inputs are (B,C,H,W))
+#
+# output_shape(shape) maps one sample's input shape to its output shape and
+# rejects inputs the layer cannot take; Model runs it once over the layer
+# list. backward(upstream) needs the caches of a forward(x, cache=True)
+# over the same batch.
 # --------------------------------------------------------------------------
 
+def _check_upstream(kind: str, upstream: np.ndarray, expected: tuple) -> None:
+    if upstream.shape != expected:
+        raise ValueError(
+            f"{kind}.backward: upstream shape {upstream.shape} does not match the "
+            f"cached forward output {expected} (stale cache)"
+        )
+
+
 class Conv2D:
+    """Same-padded stride-1 cross-correlation; weights are (O, C, kh, kw)."""
+
     kind = "Conv2D"
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
+        if weights.ndim != 4:
+            raise ValueError(f"conv weights must be (O,C,kh,kw), got shape {weights.shape}")
+        kh, kw = weights.shape[2], weights.shape[3]
+        if kh % 2 == 0 or kw % 2 == 0:
+            raise ValueError(f"kernel dims must be odd positive, got {kh}x{kw}")
+        if bias.shape != (weights.shape[0],):
+            raise ValueError("bias length must equal the number of output channels")
         self.weights = weights
         self.bias = bias
         self.grad_weights = np.zeros_like(weights)
@@ -267,6 +140,14 @@ class Conv2D:
         self._cols = None
         self._bwd_cols = None
         self._input_shape = None
+
+    def output_shape(self, shape: tuple) -> tuple:
+        if len(shape) != 3 or shape[0] != self.weights.shape[1]:
+            raise ValueError(
+                f"channel mismatch: conv input {shape} is not (C,H,W) with "
+                f"C={self.weights.shape[1]} as the weights expect"
+            )
+        return (self.weights.shape[0], *shape[1:])
 
     def forward(self, x, cache=False):
         kh, kw = self.weights.shape[2], self.weights.shape[3]
@@ -280,18 +161,25 @@ class Conv2D:
         return _conv_fwd(cols, self.weights, self.bias, x.shape[2:])
 
     def backward(self, upstream, need_input_grad=True):
-        up_cols = None
-        if need_input_grad:
-            kh, kw = self.weights.shape[2], self.weights.shape[3]
-            self._bwd_cols = _conv_cols(upstream, kh, kw, buf=self._bwd_cols)
-            up_cols = self._bwd_cols
-        grad_in, gw, gb = _conv_bwd(
-            upstream, self._cols, self._input_shape, self.weights,
-            need_input_grad, up_cols,
+        """Accumulates parameter grads; returns the input grad, or None when
+        need_input_grad is False."""
+        cached = self._input_shape
+        _check_upstream(self.kind, upstream, cached[:1] + self.output_shape(cached[1:]))
+        b, out_ch, h, w = upstream.shape
+        self.grad_bias += upstream.sum(axis=(0, 2, 3))
+        up_mat = upstream.reshape(b, out_ch, h * w)
+        self.grad_weights += (
+            (up_mat @ self._cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.weights.shape)
         )
-        self.grad_weights += gw
-        self.grad_bias += gb
-        return grad_in
+        if not need_input_grad:
+            return None
+        # input gradient == same-padded correlation of upstream with kernels
+        # flipped in both spatial dims and with in/out channels swapped
+        flipped = np.ascontiguousarray(self.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        kh, kw = flipped.shape[2], flipped.shape[3]
+        self._bwd_cols = _conv_cols(upstream, kh, kw, buf=self._bwd_cols)
+        zero_bias = np.zeros(flipped.shape[0], dtype=upstream.dtype)
+        return _conv_fwd(self._bwd_cols, flipped, zero_bias, (h, w)).reshape(cached)
 
     def params(self):
         return [self.weights, self.bias]
@@ -306,13 +194,18 @@ class ReLU:
     def __init__(self):
         self._input = None
 
+    def output_shape(self, shape: tuple) -> tuple:
+        return shape
+
     def forward(self, x, cache=False):
         if cache:
             self._input = x
-        return relu_forward(x)
+        return np.maximum(x, 0)
 
     def backward(self, upstream):
-        return relu_backward(upstream, self._input)
+        """Masked pass-through; the subgradient at exactly 0 is 0."""
+        _check_upstream(self.kind, upstream, self._input.shape)
+        return upstream * (self._input > 0)
 
     def params(self):
         return []
@@ -322,21 +215,45 @@ class ReLU:
 
 
 class MaxPool2:
+    """Non-overlapping 2x2 max pool; a trailing odd row/column is dropped.
+
+    Within a window the first maximum in row-major order wins, and backward
+    routes each upstream value to that position only.
+    """
+
     kind = "MaxPool2"
 
     def __init__(self):
         self._argmax = None
         self._input_shape = None
 
+    def output_shape(self, shape: tuple) -> tuple:
+        if len(shape) != 3 or shape[1] < 2 or shape[2] < 2:
+            raise ValueError(f"maxpool2 needs a (C,H,W) input with H, W >= 2, got {shape}")
+        return (shape[0], shape[1] // 2, shape[2] // 2)
+
     def forward(self, x, cache=False):
-        out, idx = _pool_fwd(x)
+        b, c, h, w = x.shape
+        ho, wo = h // 2, w // 2
+        win = x[:, :, : ho * 2, : wo * 2].reshape(b, c, ho, 2, wo, 2)
+        win = win.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, ho, wo, 4)
+        idx = win.argmax(axis=4)  # first max wins: row-major tie-break
         if cache:
             self._argmax = idx
             self._input_shape = x.shape
-        return out
+        return np.take_along_axis(win, idx[..., None], axis=4)[..., 0]
 
     def backward(self, upstream):
-        return _pool_bwd(upstream, self._argmax, self._input_shape)
+        _check_upstream(self.kind, upstream, self._argmax.shape)
+        b, c, ho, wo = upstream.shape
+        grad = np.zeros(self._input_shape, dtype=upstream.dtype)
+        u, v = self._argmax // 2, self._argmax % 2
+        bi = np.arange(b)[:, None, None, None]
+        ci = np.arange(c)[None, :, None, None]
+        ri = 2 * np.arange(ho)[None, None, :, None] + u
+        cj = 2 * np.arange(wo)[None, None, None, :] + v
+        grad[bi, ci, ri, cj] = upstream
+        return grad
 
     def params(self):
         return []
@@ -351,12 +268,25 @@ class Dense:
     kind = "Dense"
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
+        if weights.ndim != 2 or bias.shape != (weights.shape[0],):
+            raise ValueError(
+                f"dense weights must be (out, in) with one bias per output, got "
+                f"weights {weights.shape} and bias {bias.shape}"
+            )
         self.weights = weights
         self.bias = bias
         self.grad_weights = np.zeros_like(weights)
         self.grad_bias = np.zeros_like(bias)
         self._input_shape = None
         self._flat = None
+
+    def output_shape(self, shape: tuple) -> tuple:
+        if math.prod(shape) != self.weights.shape[1]:
+            raise ValueError(
+                f"dense dimension mismatch: input {shape} flattens to "
+                f"{math.prod(shape)}, weights expect {self.weights.shape[1]}"
+            )
+        return (self.weights.shape[0],)
 
     def forward(self, x, cache=False):
         flat = x.reshape(x.shape[0], -1)
@@ -382,6 +312,11 @@ class SoftmaxCE:
 
     kind = "SoftmaxCE"
 
+    def output_shape(self, shape: tuple) -> tuple:
+        if len(shape) != 1:
+            raise ValueError(f"softmax expects a vector of logits, got {shape}")
+        return shape
+
     def forward(self, logits, cache=False):
         return _softmax_rows(logits)
 
@@ -397,14 +332,21 @@ class SoftmaxCE:
 # --------------------------------------------------------------------------
 
 class Model:
-    """Ordered layer list over a fixed (1, H, W) input producing class probs."""
+    """Ordered layer list over a fixed (1, H, W) input producing class probs.
+
+    Construction walks input_shape through the layers, so every model that
+    exists has consistent channels, pool sizes and dense fan-in, and ends in
+    n_classes probabilities.
+    """
 
     def __init__(self, input_shape: tuple[int, int, int], n_classes: int, layers: list):
         if len(layers) == 0 or layers[-1].kind != "SoftmaxCE":
             raise ValueError("model must end in a SoftmaxCE layer")
-        dense = [l for l in layers if l.kind == "Dense"]
-        if not dense or dense[-1].weights.shape[0] != n_classes:
-            raise ValueError("final dense layer must produce n_classes outputs")
+        shape = tuple(input_shape)
+        for layer in layers:
+            shape = layer.output_shape(shape)
+        if shape != (n_classes,):
+            raise ValueError(f"model produces {shape} scores, not the {n_classes} classes")
         self.input_shape = tuple(input_shape)
         self.n_classes = n_classes
         self.layers = layers
@@ -413,18 +355,19 @@ class Model:
     def dtype(self):
         return self.parameters()[0].dtype
 
-    def _check_input(self, x):
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Class probabilities for one sample. Pure inference (no caches
+        written; safe to share across threads). Non-finite scores raise
+        FloatingPointError, so they can never be read as a class."""
         if x.shape != self.input_shape:
             raise ValueError(
                 f"input shape {x.shape} does not match model input {self.input_shape}"
             )
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Pure inference pass (no caches written; safe to share across threads)."""
-        self._check_input(x)
         h = x.astype(self.dtype, copy=False)[None]
         for layer in self.layers:
             h = layer.forward(h)
+        if not np.all(np.isfinite(h)):
+            raise FloatingPointError("non-finite values in model output")
         return h[0]
 
     def batch_loss_and_backward(self, x4: np.ndarray, labels: np.ndarray) -> float:
@@ -438,7 +381,7 @@ class Model:
         h = x4.astype(self.dtype, copy=False)
         for layer in self.layers[:-1]:
             h = layer.forward(h, cache=True)
-        loss, _, grad = _softmax_ce_batch(h, labels)
+        loss, _, grad = softmax_ce(h, labels)
         for i in reversed(range(len(self.layers) - 1)):
             layer = self.layers[i]
             if i == 0 and layer.kind == "Conv2D":
@@ -447,17 +390,6 @@ class Model:
             else:
                 grad = layer.backward(grad)
         return loss
-
-    def loss_and_backward(self, x: np.ndarray, true_class: int) -> float:
-        self._check_input(x)
-        return self.batch_loss_and_backward(x[None], np.array([true_class]))
-
-    def loss(self, x: np.ndarray, true_class: int) -> float:
-        self._check_input(x)
-        h = x.astype(self.dtype, copy=False)[None]
-        for layer in self.layers[:-1]:
-            h = layer.forward(h)
-        return _softmax_ce_batch(h, np.array([true_class]))[0]
 
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params()]
@@ -518,13 +450,6 @@ def build_gaze_net(
         SoftmaxCE(),
     ]
     return Model((1, input_h, input_w), n_classes, layers)
-
-
-def model_forward(model: Model, x: np.ndarray) -> np.ndarray:
-    """Class-probability vector for one input patch."""
-    probs = model.forward(x)
-    assert_finite(probs, "model output")
-    return probs
 
 
 def train_epoch(
@@ -597,12 +522,12 @@ def grad_check(
         raise ValueError("gradient check requires a double-precision model")
     if not 1e-7 <= h <= 1e-4:
         raise ValueError("step h must lie in [1e-7, 1e-4]")
+    labels = np.array([true_class])
     model.zero_grads()
-    model.loss_and_backward(x, true_class)
+    model.batch_loss_and_backward(x[None], labels)
 
     # activations entering each layer; a perturbation in layer i only
     # changes the suffix, so the finite differences rerun layers i..end
-    labels = np.array([true_class])
     acts = [x.astype(np.float64, copy=False)[None]]
     for layer in model.layers[:-1]:
         acts.append(layer.forward(acts[-1]))
@@ -611,7 +536,7 @@ def grad_check(
         out = acts[layer_index]
         for layer in model.layers[layer_index:-1]:
             out = layer.forward(out)
-        return _softmax_ce_batch(out, labels)[0]
+        return softmax_ce(out, labels)[0]
 
     per_param: dict[str, float] = {}
     worst = 0.0
@@ -656,13 +581,24 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
+    """Reads a model file. A truncated, garbled or inconsistent file raises
+    ValueError naming the path."""
     with open(path, "rb") as f:
         buf = f.read()
+    try:
+        return _parse_model(buf)
+    except struct.error as exc:
+        raise ValueError(f"{path}: truncated model file ({exc})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_model(buf: bytes) -> Model:
     if buf[:4] != MODEL_MAGIC:
-        raise ValueError(f"{path}: not a model file (bad magic)")
+        raise ValueError("not a model file (bad magic)")
     version, n_layers = struct.unpack_from("<II", buf, 4)
     if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format version {version}")
+        raise ValueError(f"unsupported model format version {version}")
     pos = 12
     n_params = {"Conv2D": 2, "Dense": 2, "ReLU": 0, "MaxPool2": 0, "SoftmaxCE": 0}
     layers: list = []
@@ -670,7 +606,7 @@ def load_model(path) -> Model:
         (tag,) = struct.unpack_from("<B", buf, pos)
         pos += 1
         if tag not in _TAG_KINDS:
-            raise ValueError(f"{path}: unknown layer tag {tag}")
+            raise ValueError(f"unknown layer tag {tag}")
         kind = _TAG_KINDS[tag]
         params = []
         for _ in range(n_params[kind]):
@@ -678,7 +614,9 @@ def load_model(path) -> Model:
             pos += 4
             dims = struct.unpack_from(f"<{rank}I", buf, pos)
             pos += 4 * rank
-            count = int(np.prod(dims)) if rank else 1
+            count = math.prod(dims)
+            if pos + 4 * count > len(buf):
+                raise ValueError(f"truncated model file: {dims} tensor overruns the data")
             arr = np.frombuffer(buf, dtype="<f4", count=count, offset=pos)
             pos += 4 * count
             params.append(arr.reshape(dims).copy())
@@ -695,5 +633,5 @@ def load_model(path) -> Model:
     n_classes, input_h, input_w = struct.unpack_from("<III", buf, pos)
     pos += 12
     if pos != len(buf):
-        raise ValueError(f"{path}: trailing bytes in model file")
+        raise ValueError("trailing bytes in model file")
     return Model((1, input_h, input_w), n_classes, layers)

@@ -22,8 +22,8 @@ def train_eye(samples, side, root, n_classes=7, epochs=500, lr=0.01,
               batch_size=32, seed=0, mode="ert", stop_at_perfect=False,
               labels=None):
     hw = dataset.default_patch_hw(mode)
-    tensors = dataset.make_eye_samples(
-        samples, side, mode, image_root=root, labels=labels
+    tensors = dataset.patches_to_tensors(
+        dataset.make_eye_patches(samples, side, mode, image_root=root, labels=labels)
     )
     xs = [t for t, _ in tensors]
     ys = [y for _, y in tensors]
@@ -71,7 +71,7 @@ class TestAcceptance:
         for _ in range(1000):
             n = int(rng.integers(2, 12))
             logits = rng.uniform(-1e3, 1e3, size=n)
-            _, probs, grad = nn.softmax_ce(logits, int(rng.integers(n)))
+            _, probs, grad = nn.softmax_ce(logits[None], np.array([rng.integers(n)]))
             assert np.all(np.isfinite(probs)) and np.all(np.isfinite(grad))
             assert np.all((probs >= 0.0) & (probs <= 1.0))
             assert abs(probs.sum() - 1.0) < 1e-6

@@ -139,17 +139,17 @@ def make_patches(n, split="train", seed=0):
 
 class TestExpand:
     def test_default_policy_count(self):
-        out = augment.expand(make_patches(10), AugmentPolicy(), seed=0)
+        out = augment.expand(make_patches(10), AugmentPolicy())
         assert len(out) == 90  # 10 * (1 + 4 + 2 + 2)
 
     def test_empty_policy_is_identity(self):
         patches = make_patches(5)
-        out = augment.expand(patches, AugmentPolicy((), (), ()), seed=0)
+        out = augment.expand(patches, AugmentPolicy((), (), ()))
         assert out == patches
 
     def test_labels_and_split_preserved(self):
         patches = make_patches(6, seed=1)
-        out = augment.expand(patches, AugmentPolicy(), seed=0)
+        out = augment.expand(patches, AugmentPolicy())
         per_source = 1 + AugmentPolicy().variants_per_sample
         for i, patch in enumerate(out):
             source = patches[i // per_source]
@@ -159,7 +159,7 @@ class TestExpand:
 
     def test_originals_kept_verbatim(self):
         patches = make_patches(3, seed=2)
-        out = augment.expand(patches, AugmentPolicy(), seed=0)
+        out = augment.expand(patches, AugmentPolicy())
         per_source = 1 + AugmentPolicy().variants_per_sample
         for i, patch in enumerate(patches):
             npt.assert_array_equal(out[i * per_source].pixels, patch.pixels)
@@ -167,10 +167,10 @@ class TestExpand:
     def test_test_split_guarded(self):
         patches = make_patches(2) + make_patches(1, split="test")
         with pytest.raises(ValueError, match="test split"):
-            augment.expand(patches, AugmentPolicy(), seed=0)
+            augment.expand(patches, AugmentPolicy())
 
     def test_deterministic(self):
         patches = make_patches(4, seed=3)
-        a = augment.expand(patches, AugmentPolicy(), seed=5)
-        b = augment.expand(patches, AugmentPolicy(), seed=5)
+        a = augment.expand(patches, AugmentPolicy())
+        b = augment.expand(patches, AugmentPolicy())
         assert all(np.array_equal(x.pixels, y.pixels) for x, y in zip(a, b))

@@ -52,7 +52,9 @@ class TestSynth:
     def test_annotations_are_usable_by_both_modes(self, corpus):
         samples = dataset.load_manifest(corpus / "manifest.csv")
         for mode, hw in (("roi", (42, 50)), ("ert", (15, 25))):
-            pairs = dataset.make_eye_samples(samples[:2], "left", mode, image_root=str(corpus))
+            pairs = dataset.patches_to_tensors(
+                dataset.make_eye_patches(samples[:2], "left", mode, image_root=str(corpus))
+            )
             assert pairs[0][0].shape == (1, *hw)
 
     def test_deterministic_bytes(self, tmp_path):
@@ -369,3 +371,58 @@ class TestExitCodes:
 
     def test_missing_config_file_is_io_error(self):
         assert run(["train", "--config", "/nonexistent/run.ini"]) == 2
+
+
+def _predict_ert(corpus, model_dir):
+    face = synth.FACE
+    lm = synth.canonical_landmarks()
+    landmarks = ",".join(
+        str(v) for pt in (lm.left_outer, lm.left_inner, lm.right_inner, lm.right_outer)
+        for v in pt
+    )
+    return run([
+        "predict", "--image", str(corpus / "vd_000.pgm"),
+        "--face", f"{face.x},{face.y},{face.w},{face.h}", "--landmarks", landmarks,
+        "--model-dir", str(model_dir), "--mode", "ert",
+    ])
+
+
+def _copy_models(trained, dest):
+    dest.mkdir()
+    for name in (cli.MODEL_LEFT, cli.MODEL_RIGHT):
+        (dest / name).write_bytes((trained / "models" / name).read_bytes())
+    return dest
+
+
+def _single_error_line(err):
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    return lines[0]
+
+
+class TestRuntimeFailures:
+    def test_non_finite_scores_exit_1(self, trained, corpus, tmp_path, capsys):
+        models = _copy_models(trained, tmp_path / "models")
+        model = nn.load_model(models / cli.MODEL_LEFT)
+        model.layers[0].weights[0, 0, 0, 0] = np.nan
+        nn.save_model(model, models / cli.MODEL_LEFT)
+        assert _predict_ert(corpus, models) == 1
+        assert "non-finite" in _single_error_line(capsys.readouterr().err)
+
+    def test_diverged_training_exit_1(self, corpus, tmp_path, capsys):
+        code = run([
+            "train", "--manifest", str(corpus / "manifest.csv"),
+            "--model-dir", str(tmp_path / "models"), "--mode", "ert",
+            "--epochs", "2", "--seed", "1", "--lr", "1e6",
+        ])
+        assert code == 1
+        assert "diverged" in _single_error_line(capsys.readouterr().err)
+
+    def test_malformed_model_file_exit_1(self, trained, corpus, tmp_path, capsys):
+        models = _copy_models(trained, tmp_path / "models")
+        blob = (models / cli.MODEL_LEFT).read_bytes()
+        (models / cli.MODEL_LEFT).write_bytes(blob[:14])
+        assert _predict_ert(corpus, models) == 1
+        line = _single_error_line(capsys.readouterr().err)
+        assert cli.MODEL_LEFT in line and "truncated" in line

@@ -200,51 +200,55 @@ def corpus(tmp_path_factory):
     return str(out), samples
 
 
+def eye_tensors(samples, side, mode, **kwargs):
+    return dataset.patches_to_tensors(dataset.make_eye_patches(samples, side, mode, **kwargs))
+
+
 class TestMakeEyeSamples:
     def test_roi_shapes(self, corpus):
         root, samples = corpus
-        pairs = dataset.make_eye_samples(samples, "left", "roi", image_root=root)
+        pairs = eye_tensors(samples, "left", "roi", image_root=root)
         assert all(t.shape == (1, 42, 50) for t, _ in pairs)
         assert all(t.dtype == np.float32 for t, _ in pairs)
 
     def test_ert_shapes(self, corpus):
         root, samples = corpus
-        pairs = dataset.make_eye_samples(samples, "right", "ert", image_root=root)
+        pairs = eye_tensors(samples, "right", "ert", image_root=root)
         assert all(t.shape == (1, 15, 25) for t, _ in pairs)
 
     def test_sides_have_equal_counts(self, corpus):
         root, samples = corpus
-        left = dataset.make_eye_samples(samples, "left", "ert", image_root=root)
-        right = dataset.make_eye_samples(samples, "right", "ert", image_root=root)
+        left = eye_tensors(samples, "left", "ert", image_root=root)
+        right = eye_tensors(samples, "right", "ert", image_root=root)
         assert len(left) == len(right) == len(samples)
 
     def test_labels_default_to_eac(self, corpus):
         root, samples = corpus
-        pairs = dataset.make_eye_samples(samples, "left", "ert", image_root=root)
+        pairs = eye_tensors(samples, "left", "ert", image_root=root)
         assert [y for _, y in pairs] == [int(s.eac) for s in samples]
 
     def test_explicit_labels(self, corpus):
         root, samples = corpus
         labels = list(range(len(samples)))
-        pairs = dataset.make_eye_samples(samples, "left", "ert", image_root=root, labels=labels)
+        pairs = eye_tensors(samples, "left", "ert", image_root=root, labels=labels)
         assert [y for _, y in pairs] == labels
 
     def test_ert_without_landmarks_rejected(self, corpus):
         root, _ = corpus
         bare = [Sample("vd_000.pgm", synth.FACE, EacClass.VD)]
         with pytest.raises(ValueError, match="landmark"):
-            dataset.make_eye_samples(bare, "left", "ert", image_root=root)
+            eye_tensors(bare, "left", "ert", image_root=root)
 
     def test_full_path_determinism(self, corpus):
         root, samples = corpus
-        a = dataset.make_eye_samples(samples, "left", "ert", image_root=root)
-        b = dataset.make_eye_samples(samples, "left", "ert", image_root=root)
+        a = eye_tensors(samples, "left", "ert", image_root=root)
+        b = eye_tensors(samples, "left", "ert", image_root=root)
         for (ta, _), (tb, _) in zip(a, b):
             assert ta.tobytes() == tb.tobytes()
 
     def test_bad_side_and_mode_rejected(self, corpus):
         root, samples = corpus
         with pytest.raises(ValueError):
-            dataset.make_eye_samples(samples, "up", "ert", image_root=root)
+            eye_tensors(samples, "up", "ert", image_root=root)
         with pytest.raises(ValueError):
-            dataset.make_eye_samples(samples, "left", "cnn", image_root=root)
+            eye_tensors(samples, "left", "cnn", image_root=root)

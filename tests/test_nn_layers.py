@@ -1,4 +1,5 @@
-"""Layer-level contracts: hand-computed cases plus finite-difference oracles."""
+"""Layer-level contracts on the layer classes at batch size 1: hand-computed
+cases plus finite-difference oracles."""
 
 import numpy as np
 import numpy.testing as npt
@@ -29,31 +30,47 @@ def rel_err(a, b):
     return float(np.max(np.abs(a - b) / denom))
 
 
+def fwd(layer, x):
+    """One sample through a layer, as a batch of one."""
+    return layer.forward(np.asarray(x)[None])[0]
+
+
+def fwd_bwd(layer, x, upstream):
+    """Cached forward of one sample, then backward; returns the input grad."""
+    layer.forward(np.asarray(x)[None], cache=True)
+    return layer.backward(np.asarray(upstream)[None])[0]
+
+
+def softmax_ce1(logits, true_class):
+    loss, probs, grad = nn.softmax_ce(np.asarray(logits)[None], np.array([true_class]))
+    return loss, probs[0], grad[0]
+
+
 class TestRelu:
     def test_sign_cases(self):
-        npt.assert_array_equal(
-            nn.relu_forward(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0]
-        )
+        npt.assert_array_equal(fwd(nn.ReLU(), [-1.0, 0.0, 2.0]), [0.0, 0.0, 2.0])
 
     def test_zero_fixed_point(self):
         z = np.zeros((3, 4))
-        npt.assert_array_equal(nn.relu_forward(z), z)
+        npt.assert_array_equal(fwd(nn.ReLU(), z), z)
 
     def test_idempotent_and_nonnegative(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(5, 7))
-        once = nn.relu_forward(x)
+        once = fwd(nn.ReLU(), x)
         assert np.all(once >= 0)
-        npt.assert_array_equal(nn.relu_forward(once), once)
+        npt.assert_array_equal(fwd(nn.ReLU(), once), once)
 
     def test_backward_masking(self):
-        grad = nn.relu_backward(np.array([1.0, 1.0, 1.0]), np.array([-1.0, 0.0, 2.0]))
+        grad = fwd_bwd(nn.ReLU(), [-1.0, 0.0, 2.0], [1.0, 1.0, 1.0])
         npt.assert_array_equal(grad, [0.0, 0.0, 1.0])
-        npt.assert_array_equal(nn.relu_backward(np.array([5.0]), np.array([3.0])), [5.0])
+        npt.assert_array_equal(fwd_bwd(nn.ReLU(), [3.0], [5.0]), [5.0])
 
     def test_backward_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            nn.relu_backward(np.zeros(3), np.zeros(4))
+        relu = nn.ReLU()
+        relu.forward(np.zeros((1, 4)), cache=True)
+        with pytest.raises(ValueError, match="stale"):
+            relu.backward(np.zeros((1, 3)))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -62,36 +79,44 @@ class TestRelu:
         x = np.where(np.abs(x) < 0.1, x + 0.2, x)
         up = rng.normal(size=x.shape)
 
-        numeric = central_diff(lambda v: float(np.sum(up * nn.relu_forward(v))), x)
-        analytic = nn.relu_backward(up, x)
+        numeric = central_diff(lambda v: float(np.sum(up * fwd(nn.ReLU(), v))), x)
+        analytic = fwd_bwd(nn.ReLU(), x, up)
         assert rel_err(analytic, numeric) < 1e-6
 
 
 class TestConv2d:
     def test_1x1_kernel_is_scalar_multiply(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        out = nn.conv2d_forward(x, np.full((1, 1, 1, 1), 2.0), np.zeros(1))
+        out = fwd(nn.Conv2D(np.full((1, 1, 1, 1), 2.0), np.zeros(1)), x)
         npt.assert_array_equal(out, [[[2.0, 4.0], [6.0, 8.0]]])
 
     def test_3x3_ones_kernel_zero_padding(self):
         # every window of the padded 2x2 image sums all four in-bounds pixels
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        out = nn.conv2d_forward(x, np.ones((1, 1, 3, 3)), np.zeros(1))
+        out = fwd(nn.Conv2D(np.ones((1, 1, 3, 3)), np.zeros(1)), x)
         npt.assert_array_equal(out, [[[10.0, 10.0], [10.0, 10.0]]])
 
     def test_bias_only(self):
         x = np.random.default_rng(0).normal(size=(2, 4, 5))
-        out = nn.conv2d_forward(x, np.zeros((3, 2, 3, 3)), np.array([1.0, -2.0, 0.5]))
+        out = fwd(nn.Conv2D(np.zeros((3, 2, 3, 3)), np.array([1.0, -2.0, 0.5])), x)
         for o, b in enumerate([1.0, -2.0, 0.5]):
             npt.assert_array_equal(out[o], np.full((4, 5), b))
 
     def test_channel_mismatch_rejected(self):
+        conv = nn.Conv2D(np.zeros((1, 3, 3, 3)), np.zeros(1))
+        head = [nn.Dense(np.zeros((2, 16)), np.zeros(2)), nn.SoftmaxCE()]
         with pytest.raises(ValueError, match="channel"):
-            nn.conv2d_forward(np.zeros((2, 4, 4)), np.zeros((1, 3, 3, 3)), np.zeros(1))
+            nn.Model((2, 4, 4), 2, [conv, *head])
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
-            nn.conv2d_forward(np.zeros((1, 4, 4)), np.zeros((1, 1, 2, 2)), np.zeros(1))
+            nn.Conv2D(np.zeros((1, 1, 2, 2)), np.zeros(1))
+
+    def test_malformed_parameters_rejected(self):
+        with pytest.raises(ValueError, match="O,C,kh,kw"):
+            nn.Conv2D(np.zeros((1, 3, 3)), np.zeros(1))
+        with pytest.raises(ValueError, match="bias"):
+            nn.Conv2D(np.zeros((2, 1, 3, 3)), np.zeros(3))
 
     def test_shape_preserved_across_random_shapes(self):
         rng = np.random.default_rng(2)
@@ -102,23 +127,24 @@ class TestConv2d:
             w = int(rng.integers(1, 12))
             k = int(rng.choice([1, 3, 5, 7]))
             x = rng.normal(size=(c, h, w))
-            out = nn.conv2d_forward(x, rng.normal(size=(o, c, k, k)), rng.normal(size=o))
-            assert out.shape == (o, h, w)
+            conv = nn.Conv2D(rng.normal(size=(o, c, k, k)), rng.normal(size=o))
+            assert fwd(conv, x).shape == (o, h, w)
 
     def test_backward_1x1_grad_weights(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(1, 3, 3))
-        w = np.full((1, 1, 1, 1), 0.7)
+        conv = nn.Conv2D(np.full((1, 1, 1, 1), 0.7), np.zeros(1))
         up = rng.normal(size=(1, 3, 3))
-        _, gw, gb = nn.conv2d_backward(up, x, w)
-        npt.assert_allclose(gw[0, 0, 0, 0], np.sum(x * up), rtol=1e-12)
-        npt.assert_allclose(gb[0], up.sum(), rtol=1e-12)
+        fwd_bwd(conv, x, up)
+        npt.assert_allclose(conv.grad_weights[0, 0, 0, 0], np.sum(x * up), rtol=1e-12)
+        npt.assert_allclose(conv.grad_bias[0], up.sum(), rtol=1e-12)
 
     def test_backward_zero_upstream(self):
         x = np.random.default_rng(4).normal(size=(2, 4, 4))
         w = np.random.default_rng(5).normal(size=(3, 2, 3, 3))
-        gi, gw, gb = nn.conv2d_backward(np.zeros((3, 4, 4)), x, w)
-        assert not gi.any() and not gw.any() and not gb.any()
+        conv = nn.Conv2D(w, np.zeros(3))
+        gi = fwd_bwd(conv, x, np.zeros((3, 4, 4)))
+        assert not gi.any() and not conv.grad_weights.any() and not conv.grad_bias.any()
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -128,84 +154,85 @@ class TestConv2d:
         up = rng.normal(size=(3, 5, 5))
 
         def loss_of_input(v):
-            return float(np.sum(up * nn.conv2d_forward(v, w, b)))
+            return float(np.sum(up * fwd(nn.Conv2D(w, b), v)))
 
         def loss_of_weights(v):
-            return float(np.sum(up * nn.conv2d_forward(x, v, b)))
+            return float(np.sum(up * fwd(nn.Conv2D(v, b), x)))
 
         def loss_of_bias(v):
-            return float(np.sum(up * nn.conv2d_forward(x, w, v)))
+            return float(np.sum(up * fwd(nn.Conv2D(w, v), x)))
 
-        gi, gw, gb = nn.conv2d_backward(up, x, w)
+        conv = nn.Conv2D(w, b)
+        gi = fwd_bwd(conv, x, up)
         assert rel_err(gi, central_diff(loss_of_input, x)) < 1e-4
-        assert rel_err(gw, central_diff(loss_of_weights, w)) < 1e-4
-        assert rel_err(gb, central_diff(loss_of_bias, b)) < 1e-4
+        assert rel_err(conv.grad_weights, central_diff(loss_of_weights, w)) < 1e-4
+        assert rel_err(conv.grad_bias, central_diff(loss_of_bias, b)) < 1e-4
 
     def test_backward_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            nn.conv2d_backward(np.zeros((2, 4, 4)), np.zeros((1, 4, 4)), np.zeros((3, 1, 3, 3)))
+        conv = nn.Conv2D(np.zeros((3, 1, 3, 3)), np.zeros(3))
+        conv.forward(np.zeros((1, 1, 4, 4)), cache=True)
+        with pytest.raises(ValueError, match="stale"):
+            conv.backward(np.zeros((1, 2, 4, 4)))
 
 
 class TestMaxPool2:
+    # the argmax position of test_single_window is asserted by test_backward_routing
     def test_single_window(self):
-        out, idx = nn.maxpool2_forward(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+        out = fwd(nn.MaxPool2(), np.array([[[1.0, 2.0], [3.0, 4.0]]]))
         npt.assert_array_equal(out, [[[4.0]]])
-        npt.assert_array_equal(idx, [[[3]]])
 
     def test_floor_semantics_drop_trailing(self):
         x = np.arange(1.0, 10.0).reshape(1, 3, 3)
-        out, _ = nn.maxpool2_forward(x)
         # only the top-left 2x2 window survives: max(1,2,4,5) = 5
-        npt.assert_array_equal(out, [[[5.0]]])
+        npt.assert_array_equal(fwd(nn.MaxPool2(), x), [[[5.0]]])
 
     def test_constant_image(self):
         x = np.full((2, 6, 8), 3.5)
-        out, _ = nn.maxpool2_forward(x)
-        npt.assert_array_equal(out, np.full((2, 3, 4), 3.5))
+        npt.assert_array_equal(fwd(nn.MaxPool2(), x), np.full((2, 3, 4), 3.5))
 
     def test_halving_across_random_shapes(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             c, h, w = int(rng.integers(1, 4)), int(rng.integers(2, 15)), int(rng.integers(2, 15))
-            out, _ = nn.maxpool2_forward(rng.normal(size=(c, h, w)))
+            out = fwd(nn.MaxPool2(), rng.normal(size=(c, h, w)))
             assert out.shape == (c, h // 2, w // 2)
 
     def test_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            nn.maxpool2_forward(np.zeros((1, 1, 5)))
+        head = [nn.Dense(np.zeros((2, 2)), np.zeros(2)), nn.SoftmaxCE()]
+        with pytest.raises(ValueError, match=">= 2"):
+            nn.Model((1, 1, 5), 2, [nn.MaxPool2(), *head])
 
     def test_backward_routing(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        _, idx = nn.maxpool2_forward(x)
-        grad = nn.maxpool2_backward(np.array([[[7.0]]]), idx, x.shape)
+        grad = fwd_bwd(nn.MaxPool2(), x, [[[7.0]]])
         npt.assert_array_equal(grad, [[[0.0, 0.0], [0.0, 7.0]]])
 
     def test_backward_zero_upstream(self):
         x = np.random.default_rng(8).normal(size=(2, 4, 6))
-        _, idx = nn.maxpool2_forward(x)
-        grad = nn.maxpool2_backward(np.zeros((2, 2, 3)), idx, x.shape)
-        assert not grad.any()
+        assert not fwd_bwd(nn.MaxPool2(), x, np.zeros((2, 2, 3))).any()
 
     def test_backward_stale_indices_rejected(self):
-        x = np.zeros((1, 4, 4))
-        _, idx = nn.maxpool2_forward(x)
-        with pytest.raises(ValueError):
-            nn.maxpool2_backward(np.zeros((1, 2, 2)), idx, (1, 6, 6))
+        pool = nn.MaxPool2()
+        pool.forward(np.zeros((1, 1, 4, 4)), cache=True)
+        # upstream of a 6x6 forward against the caches of the 4x4 one
+        with pytest.raises(ValueError, match="stale"):
+            pool.backward(np.zeros((1, 1, 3, 3)))
 
     def test_tie_breaks_to_first_row_major(self):
-        x = np.array([[[5.0, 5.0], [5.0, 5.0]]])
-        _, idx = nn.maxpool2_forward(x)
-        npt.assert_array_equal(idx, [[[0]]])
+        # the gradient lands only on the first maximum in row-major order
+        grad = fwd_bwd(nn.MaxPool2(), [[[5.0, 5.0], [5.0, 5.0]]], [[[1.0]]])
+        npt.assert_array_equal(grad, [[[1.0, 0.0], [0.0, 0.0]]])
+        grad = fwd_bwd(nn.MaxPool2(), [[[1.0, 5.0], [2.0, 5.0]]], [[[1.0]]])
+        npt.assert_array_equal(grad, [[[0.0, 1.0], [0.0, 0.0]]])
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         # distinct values keep maxima unique, away from tie points
         x = rng.permutation(24).astype(np.float64).reshape(1, 4, 6)
         up = rng.normal(size=(1, 2, 3))
-        _, idx = nn.maxpool2_forward(x)
-        analytic = nn.maxpool2_backward(up, idx, x.shape)
+        analytic = fwd_bwd(nn.MaxPool2(), x, up)
         numeric = central_diff(
-            lambda v: float(np.sum(up * nn.maxpool2_forward(v)[0])), x, h=1e-5
+            lambda v: float(np.sum(up * fwd(nn.MaxPool2(), v))), x, h=1e-5
         )
         assert rel_err(analytic, numeric) < 1e-4
 
@@ -213,16 +240,19 @@ class TestMaxPool2:
 class TestDense:
     def test_identity_weights(self):
         x = np.array([3.0, -1.0, 2.0])
-        out = nn.dense_forward(x, np.eye(3), np.zeros(3))
-        npt.assert_array_equal(out, x)
+        npt.assert_array_equal(fwd(nn.Dense(np.eye(3), np.zeros(3)), x), x)
 
     def test_dot_product(self):
-        out = nn.dense_forward(np.array([2.0, 3.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
+        out = fwd(nn.Dense(np.array([[1.0, 1.0]]), np.array([1.0])), [2.0, 3.0])
         npt.assert_array_equal(out, [6.0])
 
     def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            nn.Model((3,), 2, [nn.Dense(np.zeros((2, 4)), np.zeros(2)), nn.SoftmaxCE()])
         with pytest.raises(ValueError):
-            nn.dense_forward(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
+            nn.Dense(np.zeros(4), np.zeros(1))
+        with pytest.raises(ValueError):
+            nn.Dense(np.zeros((2, 4)), np.zeros(3))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(10)
@@ -230,21 +260,26 @@ class TestDense:
         w = rng.normal(size=(4, 6))
         b = rng.normal(size=4)
         up = rng.normal(size=4)
-        gi, gw, gb = nn.dense_backward(up, x, w)
-        assert rel_err(gi, central_diff(lambda v: float(up @ nn.dense_forward(v, w, b)), x)) < 1e-4
-        assert rel_err(gw, central_diff(lambda v: float(up @ nn.dense_forward(x, v, b)), w)) < 1e-4
-        assert rel_err(gb, central_diff(lambda v: float(up @ nn.dense_forward(x, w, v)), b)) < 1e-4
+        dense = nn.Dense(w, b)
+        gi = fwd_bwd(dense, x, up)
+        assert rel_err(gi, central_diff(lambda v: float(up @ fwd(nn.Dense(w, b), v)), x)) < 1e-4
+        assert rel_err(
+            dense.grad_weights, central_diff(lambda v: float(up @ fwd(nn.Dense(v, b), x)), w)
+        ) < 1e-4
+        assert rel_err(
+            dense.grad_bias, central_diff(lambda v: float(up @ fwd(nn.Dense(w, v), x)), b)
+        ) < 1e-4
 
 
 class TestSoftmaxCE:
     def test_uniform_two_class(self):
-        loss, probs, grad = nn.softmax_ce(np.array([0.0, 0.0]), 0)
+        loss, probs, grad = softmax_ce1([0.0, 0.0], 0)
         npt.assert_allclose(loss, np.log(2), rtol=1e-12)
         npt.assert_allclose(probs, [0.5, 0.5], rtol=1e-12)
         npt.assert_allclose(grad, [-0.5, 0.5], rtol=1e-12)
 
     def test_extreme_logits_stay_finite(self):
-        loss, probs, _ = nn.softmax_ce(np.array([1000.0, 0.0]), 0)
+        loss, probs, _ = softmax_ce1([1000.0, 0.0], 0)
         assert np.isfinite(loss) and loss < 1e-12
         assert np.all(np.isfinite(probs))
 
@@ -252,7 +287,7 @@ class TestSoftmaxCE:
         rng = np.random.default_rng(11)
         for _ in range(50):
             logits = rng.uniform(-1e3, 1e3, size=int(rng.integers(2, 10)))
-            _, probs, _ = nn.softmax_ce(logits, 0)
+            _, probs, _ = softmax_ce1(logits, 0)
             assert abs(probs.sum() - 1.0) < 1e-6
             assert np.all((probs >= 0) & (probs <= 1))
 
@@ -260,22 +295,22 @@ class TestSoftmaxCE:
         rng = np.random.default_rng(12)
         for _ in range(50):
             logits = rng.normal(size=7)
-            _, p0, _ = nn.softmax_ce(logits, 3)
-            _, p1, _ = nn.softmax_ce(logits + 123.456, 3)
+            _, p0, _ = softmax_ce1(logits, 3)
+            _, p1, _ = softmax_ce1(logits + 123.456, 3)
             assert int(np.argmax(p0)) == int(np.argmax(p1))
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(13)
         logits = rng.normal(size=5)
-        _, _, grad = nn.softmax_ce(logits, 2)
-        numeric = central_diff(lambda v: nn.softmax_ce(v, 2)[0], logits)
+        _, _, grad = softmax_ce1(logits, 2)
+        numeric = central_diff(lambda v: softmax_ce1(v, 2)[0], logits)
         assert rel_err(grad, numeric) < 1e-7
 
     def test_out_of_range_class(self):
         with pytest.raises(ValueError):
-            nn.softmax_ce(np.zeros(3), 3)
+            softmax_ce1(np.zeros(3), 3)
         with pytest.raises(ValueError):
-            nn.softmax_ce(np.zeros(3), -1)
+            softmax_ce1(np.zeros(3), -1)
 
 
 class TestSgdStep:

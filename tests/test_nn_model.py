@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gazedir import nn
 
@@ -77,11 +79,24 @@ class TestBuildGazeNet:
         assert any((pa != pc).any() for pa, pc in zip(a.parameters(), c.parameters()))
 
 
+class TestModelConstruction:
+    def test_class_count_checked_against_head(self):
+        layers = nn.build_gaze_net(8, 8, 3).layers
+        with pytest.raises(ValueError, match="classes"):
+            nn.Model((1, 8, 8), 4, layers)
+
+    def test_dense_fan_in_checked_against_input(self):
+        # 15x25 pools to 1x3 (fan-in 72); 42x50 pools to 5x6 (720)
+        layers = nn.build_gaze_net(15, 25, 7).layers
+        with pytest.raises(ValueError, match="dense dimension mismatch"):
+            nn.Model((1, 42, 50), 7, layers)
+
+
 class TestModelForward:
     def test_valid_score_vector(self):
         model = nn.build_gaze_net(15, 25, 7)
         x = np.random.default_rng(0).normal(size=(1, 15, 25)).astype(np.float32)
-        probs = nn.model_forward(model, x)
+        probs = model.forward(x)
         assert probs.shape == (7,)
         assert abs(probs.sum() - 1.0) < 1e-6
         assert np.all((probs >= 0) & (probs <= 1))
@@ -89,12 +104,19 @@ class TestModelForward:
     def test_deterministic(self):
         model = nn.build_gaze_net(15, 25, 7)
         x = np.random.default_rng(1).normal(size=(1, 15, 25)).astype(np.float32)
-        npt.assert_array_equal(nn.model_forward(model, x), nn.model_forward(model, x))
+        npt.assert_array_equal(model.forward(x), model.forward(x))
 
     def test_shape_mismatch_rejected(self):
         model = nn.build_gaze_net(15, 25, 7)
         with pytest.raises(ValueError):
             model.forward(np.zeros((1, 42, 50), dtype=np.float32))
+
+    def test_non_finite_scores_rejected(self):
+        # a NaN score must never reach predict_class, which would read it as class 0
+        model = nn.build_gaze_net(15, 25, 7)
+        model.layers[0].weights[0, 0, 0, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            model.forward(np.ones((1, 15, 25), dtype=np.float32))
 
     def test_dual_shape_support(self):
         for hw in ((42, 50), (15, 25)):
@@ -113,7 +135,9 @@ class TestTrainEpoch:
         loss = nn.train_epoch(model, xs, ys, lr=0.0, batch_size=4, rng_seed=0)
         for p, b in zip(model.parameters(), before):
             npt.assert_array_equal(p, b)
-        eval_loss = np.mean([model.loss(x, y) for x, y in zip(xs, ys)])
+        eval_loss = np.mean(
+            [model.batch_loss_and_backward(x[None], np.array([y])) for x, y in zip(xs, ys)]
+        )
         npt.assert_allclose(loss, eval_loss, rtol=1e-6)
 
     def test_same_seed_bitwise_identical_weights(self):
@@ -143,8 +167,9 @@ class TestTrainEpoch:
     def test_label_out_of_range_rejected(self):
         model = nn.build_gaze_net(8, 8, 3)
         xs = [np.zeros((1, 8, 8), dtype=np.float32)]
-        with pytest.raises(ValueError):
-            nn.train_epoch(model, xs, [3], 0.01, 4, 0)
+        for label in (3, -1):
+            with pytest.raises(ValueError, match="label"):
+                nn.train_epoch(model, xs, [label], 0.01, 4, 0)
 
 
 class TestGradCheck:
@@ -240,3 +265,39 @@ class TestModelIO:
         path.write_bytes(b"GDN1" + (99).to_bytes(4, "little") + b"\x00" * 8)
         with pytest.raises(ValueError, match="version"):
             nn.load_model(path)
+
+    def test_wrong_input_size_trailer_rejected(self, tmp_path):
+        path = tmp_path / "model.gdn"
+        nn.save_model(nn.build_gaze_net(15, 25, 7), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-8] + (42).to_bytes(4, "little") + (50).to_bytes(4, "little"))
+        with pytest.raises(ValueError, match="model.gdn: dense dimension mismatch"):
+            nn.load_model(path)
+
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_truncated_or_garbled_file(self, tmp_path, data):
+        # a tiny model, so that random positions often hit the header and
+        # shape fields rather than the float data
+        rng = np.random.default_rng(16)
+        layers = [
+            nn.Conv2D(rng.normal(size=(2, 1, 3, 3)), np.zeros(2)), nn.ReLU(), nn.MaxPool2(),
+            nn.Dense(rng.normal(size=(3, 8)), np.zeros(3)), nn.SoftmaxCE(),
+        ]
+        path = tmp_path / "fuzz.gdn"
+        nn.save_model(nn.Model((1, 4, 4), 3, layers), path)
+        blob = bytearray(path.read_bytes())
+        flips = data.draw(st.lists(
+            st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)), max_size=3
+        ))
+        for pos, value in flips:
+            blob[pos] = value
+        cut = data.draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob))))
+        path.write_bytes(bytes(blob[:cut]))
+        try:
+            nn.load_model(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
