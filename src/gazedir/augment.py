@@ -23,6 +23,9 @@ class AugmentPolicy:
     scale_factors: tuple[float, ...] = (0.9, 1.1)
 
     def __post_init__(self):
+        values = (*self.rotation_degrees, *self.blur_sigmas, *self.scale_factors)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("augmentation parameters must be finite")
         if any(s < 0 for s in self.blur_sigmas):
             raise ValueError("blur sigmas must be >= 0")
         if any(f <= 0 for f in self.scale_factors):

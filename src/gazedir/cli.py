@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -290,18 +291,8 @@ def _add_common(p: _Parser, eye: bool = False) -> None:
 
 
 def _config_from(args) -> RunConfig:
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "mode": getattr(args, "mode", None),
-        "classes": getattr(args, "classes", None),
-        "manifest": getattr(args, "manifest", None),
-        "image_root": getattr(args, "image_root", None),
-        "model_dir": getattr(args, "model_dir", None),
-        "report_dir": getattr(args, "report_dir", None),
-        "lr": getattr(args, "lr", None),
-        "batch_size": getattr(args, "batch_size", None),
-        "epochs": getattr(args, "epochs", None),
-    }
+    # argparse dests equal the RunConfig field names; absent flags read None
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     return load_config(getattr(args, "config", None), overrides)
 
 

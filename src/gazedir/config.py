@@ -3,12 +3,15 @@
 The file format is flat key=value INI with sections [data], [train],
 [augment], [map3]. Unknown sections or keys are rejected. The effective
 config has a canonical text form whose hash is stamped into every report.
+Every field is named once, in _FIELDS: the INI and JSON echoes, the file
+reader and the known-key check all walk that table.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -20,11 +23,46 @@ class ConfigError(ValueError):
     pass
 
 
-_DATA_KEYS = {"manifest", "image_root", "mode", "classes", "patch_h", "patch_w",
-              "subject_split"}
-_TRAIN_KEYS = {"lr", "batch_size", "epochs", "seed", "model_dir", "report_dir"}
-_AUGMENT_KEYS = {"rotations", "sigmas", "scales"}
-_MAP3_KEYS = {c.name.lower() for c in EacClass}
+def _parse_float_list(text: str) -> tuple[float, ...]:
+    text = text.strip()
+    if not text:
+        return ()
+    return tuple(float(tok) for tok in text.split(","))
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ConfigError(f"expected a boolean, got {text!r}")
+
+
+def _parse_manifest(text: str) -> str | None:
+    return text or None  # the empty token is an unset manifest
+
+
+# (INI section, field name, parser of the INI token), in echo order
+_FIELDS = (
+    ("data", "manifest", _parse_manifest),
+    # plain str: the echo writes the resolved root, where "" means the cwd
+    ("data", "image_root", str),
+    ("data", "mode", str),
+    ("data", "classes", int),
+    ("data", "patch_h", int),
+    ("data", "patch_w", int),
+    ("data", "subject_split", _parse_bool),
+    ("train", "lr", float),
+    ("train", "batch_size", int),
+    ("train", "epochs", int),
+    ("train", "seed", int),
+    ("train", "model_dir", str),
+    ("train", "report_dir", str),
+    ("augment", "rotations", _parse_float_list),
+    ("augment", "sigmas", _parse_float_list),
+    ("augment", "scales", _parse_float_list),
+)
 
 _MAP3_VALUES = {
     "left": ThreeClass.LEFT,
@@ -57,7 +95,8 @@ class RunConfig:
     @property
     def patch_hw(self) -> tuple[int, int]:
         dh, dw = default_patch_hw(self.mode)
-        return (self.patch_h or dh, self.patch_w or dw)
+        return (dh if self.patch_h is None else self.patch_h,
+                dw if self.patch_w is None else self.patch_w)
 
     @property
     def policy(self) -> AugmentPolicy:
@@ -78,8 +117,8 @@ class RunConfig:
         h, w = self.patch_hw
         if h < 8 or w < 8:
             raise ConfigError(f"patch {h}x{w} too small; the network needs >= 8x8")
-        if self.lr < 0:
-            raise ConfigError("lr must be >= 0")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr must be a finite number >= 0, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -95,111 +134,53 @@ class RunConfig:
     def to_ini_text(self) -> str:
         """Canonical INI echo of the effective config; feeding it back
         reproduces the run."""
-        h, w = self.patch_hw
-        lines = [
-            "[data]",
-            f"manifest = {self.manifest or ''}",
-            f"image_root = {self.resolved_image_root()}",
-            f"mode = {self.mode}",
-            f"classes = {self.classes}",
-            f"patch_h = {h}",
-            f"patch_w = {w}",
-            f"subject_split = {'true' if self.subject_split else 'false'}",
-            "",
-            "[train]",
-            f"lr = {self.lr!r}",
-            f"batch_size = {self.batch_size}",
-            f"epochs = {self.epochs}",
-            f"seed = {self.seed}",
-            f"model_dir = {self.model_dir}",
-            f"report_dir = {self.report_dir}",
-            "",
-            "[augment]",
-            f"rotations = {','.join(repr(v) for v in self.rotations)}",
-            f"sigmas = {','.join(repr(v) for v in self.sigmas)}",
-            f"scales = {','.join(repr(v) for v in self.scales)}",
-            "",
-            "[map3]",
-        ]
-        for c in EacClass:
-            target = self.map3[c]
-            value = "excluded" if target is None else target.name.lower()
-            lines.append(f"{c.name.lower()} = {value}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(
+            f"[{section}]\n" + "".join(f"{key} = {token}\n" for key, token in keys.items())
+            for section, keys in _ini_sections(self.as_dict()).items()
+        )
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_ini_text().encode("utf-8")).hexdigest()[:16]
 
     def as_dict(self) -> dict:
         """JSON-friendly echo of every effective field."""
-        h, w = self.patch_hw
-        return {
-            "mode": self.mode,
-            "classes": self.classes,
-            "patch_h": h,
-            "patch_w": w,
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "rotations": list(self.rotations),
-            "sigmas": list(self.sigmas),
-            "scales": list(self.scales),
-            "map3": {
-                c.name: (self.map3[c].name if self.map3[c] is not None else "excluded")
-                for c in EacClass
-            },
-            "subject_split": self.subject_split,
-            "manifest": self.manifest,
-            "image_root": self.resolved_image_root(),
-            "model_dir": self.model_dir,
-            "report_dir": self.report_dir,
-        }
+        echo = {name: getattr(self, name) for _, name, _ in _FIELDS}
+        echo["patch_h"], echo["patch_w"] = self.patch_hw
+        echo["image_root"] = self.resolved_image_root()
+        echo = {name: list(v) if isinstance(v, tuple) else v for name, v in echo.items()}
+        echo["map3"] = {c.name: "excluded" if self.map3[c] is None else self.map3[c].name
+                        for c in EacClass}
+        return echo
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        """Inverse of as_dict: rebuilds a config from a report's echo."""
-        map3 = {
-            EacClass[name]: (None if token == "excluded" else ThreeClass[token.upper()])
-            for name, token in data["map3"].items()
-        }
-        cfg = cls(
-            mode=data["mode"],
-            classes=int(data["classes"]),
-            patch_h=int(data["patch_h"]),
-            patch_w=int(data["patch_w"]),
-            lr=float(data["lr"]),
-            batch_size=int(data["batch_size"]),
-            epochs=int(data["epochs"]),
-            seed=int(data["seed"]),
-            rotations=tuple(data["rotations"]),
-            sigmas=tuple(data["sigmas"]),
-            scales=tuple(data["scales"]),
-            map3=map3,
-            subject_split=bool(data["subject_split"]),
-            manifest=data["manifest"],
-            image_root=data["image_root"],
-            model_dir=data["model_dir"],
-            report_dir=data["report_dir"],
-        )
+        """Inverse of as_dict: rebuilds a config from a report's echo by
+        reading it as INI tokens, like a config file."""
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_dict(_ini_sections(data))
+        cfg = cls()
+        _apply_file(cfg, parser, "config echo")
         cfg.validate()
         return cfg
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(float(tok) for tok in text.split(","))
+def _ini_token(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (tuple, list)):
+        return ",".join(str(v) for v in value)
+    return str(value)
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+def _ini_sections(echo: dict) -> dict[str, dict[str, str]]:
+    """INI tokens by section, in echo order, from an as_dict-shaped echo."""
+    sections: dict[str, dict[str, str]] = {}
+    for section, name, _ in _FIELDS:
+        sections.setdefault(section, {})[name] = _ini_token(echo[name])
+    sections["map3"] = {name.lower(): token.lower() for name, token in echo["map3"].items()}
+    return sections
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
@@ -208,7 +189,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     if path is not None:
         if not os.path.exists(path):
             raise FileNotFoundError(f"config file {path} not found")
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read(path, encoding="utf-8")
         except configparser.Error as exc:
@@ -225,60 +206,29 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     return cfg
 
 
-def _apply_file(cfg: RunConfig, parser: configparser.ConfigParser, path) -> None:
-    allowed = {"data": _DATA_KEYS, "train": _TRAIN_KEYS,
-               "augment": _AUGMENT_KEYS, "map3": _MAP3_KEYS}
+def _apply_file(cfg: RunConfig, parser: configparser.ConfigParser, source) -> None:
+    known = {"map3": {c.name.lower() for c in EacClass}}
+    for section, name, _ in _FIELDS:
+        known.setdefault(section, set()).add(name)
     for section in parser.sections():
-        if section not in allowed:
-            raise ConfigError(f"{path}: unknown section [{section}]")
+        if section not in known:
+            raise ConfigError(f"{source}: unknown section [{section}]")
         for key in parser[section]:
-            if key not in allowed[section]:
-                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
+            if key not in known[section]:
+                raise ConfigError(f"{source}: unknown key {key!r} in [{section}]")
     try:
-        data = parser["data"] if parser.has_section("data") else {}
-        train = parser["train"] if parser.has_section("train") else {}
-        aug = parser["augment"] if parser.has_section("augment") else {}
-        if "manifest" in data:
-            cfg.manifest = data["manifest"]
-        if "image_root" in data:
-            cfg.image_root = data["image_root"]
-        if "mode" in data:
-            cfg.mode = data["mode"]
-        if "classes" in data:
-            cfg.classes = int(data["classes"])
-        if "patch_h" in data:
-            cfg.patch_h = int(data["patch_h"])
-        if "patch_w" in data:
-            cfg.patch_w = int(data["patch_w"])
-        if "subject_split" in data:
-            cfg.subject_split = _parse_bool(data["subject_split"])
-        if "lr" in train:
-            cfg.lr = float(train["lr"])
-        if "batch_size" in train:
-            cfg.batch_size = int(train["batch_size"])
-        if "epochs" in train:
-            cfg.epochs = int(train["epochs"])
-        if "seed" in train:
-            cfg.seed = int(train["seed"])
-        if "model_dir" in train:
-            cfg.model_dir = train["model_dir"]
-        if "report_dir" in train:
-            cfg.report_dir = train["report_dir"]
-        if "rotations" in aug:
-            cfg.rotations = _parse_float_list(aug["rotations"])
-        if "sigmas" in aug:
-            cfg.sigmas = _parse_float_list(aug["sigmas"])
-        if "scales" in aug:
-            cfg.scales = _parse_float_list(aug["scales"])
+        for section, name, parse in _FIELDS:
+            if parser.has_option(section, name):
+                setattr(cfg, name, parse(parser[section][name]))
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
+        raise ConfigError(f"{source}: {exc}")
     if parser.has_section("map3"):
         map3 = {}
         for key, value in parser["map3"].items():
             token = value.strip().lower()
             if token not in _MAP3_VALUES:
                 raise ConfigError(
-                    f"{path}: [map3] {key} must be left|center|right|excluded"
+                    f"{source}: [map3] {key} must be left|center|right|excluded"
                 )
             map3[EacClass[key.upper()]] = _MAP3_VALUES[token]
         cfg.map3 = map3

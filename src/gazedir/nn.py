@@ -124,6 +124,7 @@ class Conv2D:
     """Same-padded stride-1 cross-correlation; weights are (O, C, kh, kw)."""
 
     kind = "Conv2D"
+    n_params = 2  # tensors in params(), in constructor order
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
         if weights.ndim != 4:
@@ -190,6 +191,7 @@ class Conv2D:
 
 class ReLU:
     kind = "ReLU"
+    n_params = 0
 
     def __init__(self):
         self._input = None
@@ -222,6 +224,7 @@ class MaxPool2:
     """
 
     kind = "MaxPool2"
+    n_params = 0
 
     def __init__(self):
         self._argmax = None
@@ -266,6 +269,7 @@ class Dense:
     """Fully connected layer; flattens each sample to 1-D (row-major)."""
 
     kind = "Dense"
+    n_params = 2
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
         if weights.ndim != 2 or bias.shape != (weights.shape[0],):
@@ -311,6 +315,7 @@ class SoftmaxCE:
     """Terminal layer: softmax at inference, softmax+CE loss in training."""
 
     kind = "SoftmaxCE"
+    n_params = 0
 
     def output_shape(self, shape: tuple) -> tuple:
         if len(shape) != 1:
@@ -325,6 +330,9 @@ class SoftmaxCE:
 
     def grads(self):
         return []
+
+
+_LAYER_CLASSES = {cls.kind: cls for cls in (Conv2D, ReLU, MaxPool2, Dense, SoftmaxCE)}
 
 
 # --------------------------------------------------------------------------
@@ -403,14 +411,8 @@ class Model:
 
     def astype(self, dtype) -> "Model":
         """Copy of the model with parameters cast (float64 for gradient checks)."""
-        layers = []
-        for layer in self.layers:
-            if layer.kind == "Conv2D":
-                layers.append(Conv2D(layer.weights.astype(dtype), layer.bias.astype(dtype)))
-            elif layer.kind == "Dense":
-                layers.append(Dense(layer.weights.astype(dtype), layer.bias.astype(dtype)))
-            else:
-                layers.append(type(layer)())
+        layers = [type(layer)(*(p.astype(dtype) for p in layer.params()))
+                  for layer in self.layers]
         return Model(self.input_shape, self.n_classes, layers)
 
 
@@ -478,16 +480,19 @@ def train_epoch(
         raise ValueError("label out of range")
     order = np.random.default_rng(rng_seed).permutation(n)
     total = 0.0
-    for start in range(0, n, batch_size):
-        batch = order[start : start + batch_size]
-        x4 = np.stack([samples[i] for i in batch])
-        model.zero_grads()
-        total += model.batch_loss_and_backward(x4, labels[batch])
-        inv = 1.0 / len(batch)
-        for g in model.gradients():
-            g *= inv
-        if lr > 0:
-            sgd_step(model.parameters(), model.gradients(), lr)
+    # a diverging run overflows inside the kernels; the non-finite mean loss
+    # below reports it once, instead of a numpy warning per overflowing op
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, batch_size):
+            batch = order[start : start + batch_size]
+            x4 = np.stack([samples[i] for i in batch])
+            model.zero_grads()
+            total += model.batch_loss_and_backward(x4, labels[batch])
+            inv = 1.0 / len(batch)
+            for g in model.gradients():
+                g *= inv
+            if lr > 0:
+                sgd_step(model.parameters(), model.gradients(), lr)
     mean_loss = total / n
     if not math.isfinite(mean_loss):
         raise FloatingPointError("training loss diverged (non-finite)")
@@ -600,16 +605,15 @@ def _parse_model(buf: bytes) -> Model:
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version}")
     pos = 12
-    n_params = {"Conv2D": 2, "Dense": 2, "ReLU": 0, "MaxPool2": 0, "SoftmaxCE": 0}
     layers: list = []
     for _ in range(n_layers):
         (tag,) = struct.unpack_from("<B", buf, pos)
         pos += 1
         if tag not in _TAG_KINDS:
             raise ValueError(f"unknown layer tag {tag}")
-        kind = _TAG_KINDS[tag]
+        cls = _LAYER_CLASSES[_TAG_KINDS[tag]]
         params = []
-        for _ in range(n_params[kind]):
+        for _ in range(cls.n_params):
             (rank,) = struct.unpack_from("<I", buf, pos)
             pos += 4
             dims = struct.unpack_from(f"<{rank}I", buf, pos)
@@ -620,16 +624,7 @@ def _parse_model(buf: bytes) -> Model:
             arr = np.frombuffer(buf, dtype="<f4", count=count, offset=pos)
             pos += 4 * count
             params.append(arr.reshape(dims).copy())
-        if kind == "Conv2D":
-            layers.append(Conv2D(*params))
-        elif kind == "Dense":
-            layers.append(Dense(*params))
-        elif kind == "ReLU":
-            layers.append(ReLU())
-        elif kind == "MaxPool2":
-            layers.append(MaxPool2())
-        else:
-            layers.append(SoftmaxCE())
+        layers.append(cls(*params))
     n_classes, input_h, input_w = struct.unpack_from("<III", buf, pos)
     pos += 12
     if pos != len(buf):

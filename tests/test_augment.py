@@ -128,6 +128,16 @@ class TestPolicy:
         with pytest.raises(ValueError):
             AugmentPolicy(scale_factors=(0.0,))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"rotation_degrees": (5.0, float("nan"))},
+        {"rotation_degrees": (float("inf"),)},
+        {"blur_sigmas": (float("inf"),)},
+        {"scale_factors": (float("nan"),)},
+    ])
+    def test_non_finite_parameters_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            AugmentPolicy(**kwargs)
+
 
 def make_patches(n, split="train", seed=0):
     rng = np.random.default_rng(seed)

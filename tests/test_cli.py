@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +128,56 @@ class TestConfig:
         again = load_config(path)
         assert again.to_ini_text() == cfg.to_ini_text()
         assert again.config_hash() == cfg.config_hash()
+
+    def test_unset_path_echo_round_trips_to_unset(self, tmp_path, capsys):
+        path = tmp_path / "echo.ini"
+        path.write_text(load_config(None, {}).to_ini_text())
+        assert load_config(path).manifest is None
+        assert run(["train", "--config", str(path)]) == 1
+        assert "no manifest configured" in _single_error_line(capsys.readouterr().err)
+
+    def test_empty_image_root_echo_round_trips(self, tmp_path):
+        cfg = load_config(None, {"manifest": "d/m.csv", "image_root": ""})
+        path = tmp_path / "echo.ini"
+        path.write_text(cfg.to_ini_text())
+        assert load_config(path).resolved_image_root() == ""
+        assert RunConfig.from_dict(cfg.as_dict()).resolved_image_root() == ""
+
+    def test_percent_in_path_round_trips(self, tmp_path):
+        cfg = load_config(None, {"manifest": "d/100%/m.csv", "model_dir": "m%(x)s"})
+        path = tmp_path / "echo.ini"
+        path.write_text(cfg.to_ini_text())
+        again = load_config(path)
+        assert again.manifest == "d/100%/m.csv" and again.model_dir == "m%(x)s"
+        assert RunConfig.from_dict(cfg.as_dict()).to_ini_text() == cfg.to_ini_text()
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ConfigError, match="lr must be a finite"):
+            load_config(None, {"lr": lr})
+
+    @pytest.mark.parametrize("line", ["rotations = nan", "sigmas = inf", "scales = nan"])
+    def test_non_finite_augment_rejected(self, tmp_path, line):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[augment]\n{line}\n")
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(path)
+
+    def test_zero_patch_is_not_the_default(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[data]\npatch_h = 0\n")
+        with pytest.raises(ConfigError, match="0x25 too small"):
+            load_config(path)
+
+    def test_readme_ini_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        assert len(blocks) == 1
+        path = tmp_path / "readme.ini"
+        path.write_text(blocks[0])
+        cfg = load_config(path)
+        assert cfg.manifest == "data/manifest.csv"
+        assert cfg.mode == "ert" and cfg.classes == 7
 
     def test_report_config_echo_reproduces_run(self, trained, corpus, tmp_path):
         """Feeding a report's config echo back yields a byte-identical report."""
@@ -410,6 +462,7 @@ class TestRuntimeFailures:
         assert _predict_ert(corpus, models) == 1
         assert "non-finite" in _single_error_line(capsys.readouterr().err)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_training_exit_1(self, corpus, tmp_path, capsys):
         code = run([
             "train", "--manifest", str(corpus / "manifest.csv"),
@@ -418,6 +471,26 @@ class TestRuntimeFailures:
         ])
         assert code == 1
         assert "diverged" in _single_error_line(capsys.readouterr().err)
+
+    def test_non_finite_lr_exit_1(self, corpus, tmp_path, capsys):
+        code = run([
+            "train", "--manifest", str(corpus / "manifest.csv"),
+            "--model-dir", str(tmp_path / "models"), "--epochs", "1", "--lr", "nan",
+        ])
+        assert code == 1
+        assert "lr must be a finite" in _single_error_line(capsys.readouterr().err)
+        assert not (tmp_path / "models").exists()
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_rotations_exit_1(self, corpus, tmp_path, capsys, token):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[augment]\nrotations = 5,{token}\n")
+        code = run([
+            "train", "--config", str(ini), "--manifest", str(corpus / "manifest.csv"),
+            "--model-dir", str(tmp_path / "models"), "--epochs", "1",
+        ])
+        assert code == 1
+        assert "must be finite" in _single_error_line(capsys.readouterr().err)
 
     def test_malformed_model_file_exit_1(self, trained, corpus, tmp_path, capsys):
         models = _copy_models(trained, tmp_path / "models")
