@@ -64,19 +64,12 @@ def _split_records(cfg: RunConfig, records):
     return pair.train, pair.test
 
 
-def _eye_tensors(cfg: RunConfig, records, side: str, split: str, expand: bool):
-    patches = dataset.make_eye_patches(
-        [r[0] for r in records],
-        side,
-        cfg.mode,
-        patch_hw=cfg.patch_hw,
-        image_root=cfg.resolved_image_root(),
-        split=split,
-        labels=[r[1] for r in records],
+def _eye_pairs(cfg: RunConfig, records, split: str):
+    """(left, right) patch lists of the records; each image is decoded once."""
+    samples, labels = [r[0] for r in records], [r[1] for r in records]
+    return dataset.make_eye_pairs(
+        samples, cfg.mode, cfg.patch_hw, cfg.resolved_image_root(), split, labels
     )
-    if expand:
-        patches = augment.expand(patches, cfg.policy)
-    return dataset.patches_to_tensors(patches)
 
 
 def _report_meta(cfg: RunConfig, **extra) -> dict:
@@ -109,12 +102,11 @@ def cmd_train(args) -> int:
     h, w = cfg.patch_hw
     os.makedirs(cfg.model_dir, exist_ok=True)
 
-    losses: dict[str, list[float]] = {}
-    for side, seed_offset, filename in (
-        ("left", 0, MODEL_LEFT),
-        ("right", 1, MODEL_RIGHT),
-    ):
-        tensors = _eye_tensors(cfg, train_records, side, "train", expand=True)
+    losses: list[list[float]] = []  # per side, per epoch
+    for seed_offset, (side, filename, patches) in enumerate(zip(
+        dataset.SIDES, (MODEL_LEFT, MODEL_RIGHT), _eye_pairs(cfg, train_records, "train")
+    )):
+        tensors = dataset.patches_to_tensors(augment.expand(patches, cfg.policy))
         xs = [t for t, _ in tensors]
         ys = [y for _, y in tensors]
         model = nn.build_gaze_net(h, w, cfg.classes, seed=cfg.seed + seed_offset)
@@ -126,30 +118,26 @@ def cmd_train(args) -> int:
             )
             side_losses.append(loss)
             print(f"[{side}] epoch {epoch + 1}/{cfg.epochs} mean loss {loss:.6f}")
-        losses[side] = side_losses
+        losses.append(side_losses)
         nn.save_model(model, os.path.join(cfg.model_dir, filename))
 
     log_path = os.path.join(cfg.model_dir, "train_log.csv")
     with open(log_path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["epoch", "mean_loss_L", "mean_loss_R"])
-        for epoch in range(cfg.epochs):
-            writer.writerow(
-                [epoch + 1, repr(losses["left"][epoch]), repr(losses["right"][epoch])]
-            )
+        for epoch, (left, right) in enumerate(zip(*losses), 1):
+            writer.writerow([epoch, repr(left), repr(right)])
     print(f"models and {log_path} written to {cfg.model_dir}")
     return 0
 
 
 def _load_models(cfg: RunConfig, model_dir: str, eye: str):
-    model_left = model_right = None
-    if eye in ("left", "both"):
-        model_left = nn.load_model(os.path.join(model_dir, MODEL_LEFT))
-    if eye in ("right", "both"):
-        model_right = nn.load_model(os.path.join(model_dir, MODEL_RIGHT))
-    for model in (model_left, model_right):
-        if model is None:
-            continue
+    """(left, right) models; an eye that `eye` does not select is None."""
+    models = tuple(
+        nn.load_model(os.path.join(model_dir, filename)) if eye in (side, "both") else None
+        for side, filename in zip(dataset.SIDES, (MODEL_LEFT, MODEL_RIGHT))
+    )
+    for model in filter(None, models):
         if model.n_classes != cfg.classes:
             raise ConfigError(
                 f"model has {model.n_classes} classes but config asks for "
@@ -160,7 +148,7 @@ def _load_models(cfg: RunConfig, model_dir: str, eye: str):
                 f"model input {model.input_shape} does not match configured "
                 f"patch {(1, *cfg.patch_hw)}"
             )
-    return model_left, model_right
+    return models
 
 
 def cmd_eval(args) -> int:
@@ -170,9 +158,10 @@ def cmd_eval(args) -> int:
     _, test_records = _split_records(cfg, _labeled_samples(cfg))
     if not test_records:
         raise ConfigError("test split is empty")
-    left = _eye_tensors(cfg, test_records, "left", "test", expand=False)
-    right = _eye_tensors(cfg, test_records, "right", "test", expand=False)
-    triples = [(xl, xr, yl) for (xl, yl), (xr, _) in zip(left, right)]
+    triples = [
+        (preprocess.normalize(pl.pixels), preprocess.normalize(pr.pixels), pl.label)
+        for pl, pr in zip(*_eye_pairs(cfg, test_records, "test"))
+    ]
     result = fusion.evaluate(model_left, model_right, triples, eye=eye)
     names = class_names(cfg.classes)
     paths = fusion.emit_report(result, names, _report_meta(cfg, eye=eye), cfg.report_dir)
@@ -219,19 +208,9 @@ def cmd_predict(args) -> int:
     sample = dataset.Sample(args.image, face, EacClass.VD, landmarks)
     gray = preprocess.to_grayscale(preprocess.read_pnm(args.image))
     model_left, model_right = _load_models(cfg, cfg.model_dir, eye)
-
-    def score_for(side, model):
-        patch = dataset.extract_patch(gray, sample, side, cfg.mode, cfg.patch_hw)
-        return model.forward(preprocess.normalize(patch))
-
-    if eye == "left":
-        score = score_for("left", model_left)
-    elif eye == "right":
-        score = score_for("right", model_right)
-    else:
-        score = fusion.fuse_scores(
-            score_for("left", model_left), score_for("right", model_right)
-        )
+    patches = dataset.eye_pair(gray, sample, cfg.mode, cfg.patch_hw, eye)
+    xs = [None if p is None else preprocess.normalize(p) for p in patches]
+    score = fusion.score_pair(model_left, model_right, *xs, eye)
     label = fusion.predict_class(score)
     out = {
         "class": class_names(cfg.classes)[label],

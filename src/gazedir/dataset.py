@@ -222,58 +222,78 @@ def default_patch_hw(mode: str) -> tuple[int, int]:
     raise ValueError(f"unknown path mode {mode!r}")
 
 
-def extract_patch(
-    gray: np.ndarray,
-    sample: Sample,
-    side: str,
-    mode: str,
-    patch_hw: tuple[int, int],
-) -> np.ndarray:
-    """Crop one eye (ROI geometry or landmark corners) and resize to patch_hw."""
+SIDES = ("left", "right")
+
+
+def eye_boxes(sample: Sample, mode: str, eye: str = "both") -> tuple:
+    """(image-left, image-right) eye boxes: ROI geometry cut from the face box
+    in roi mode, framed by the eye-corner landmarks in ert mode. An eye that
+    `eye` does not select gets None; its box is not computed."""
+    wanted = [eye in (side, "both") for side in SIDES]
     if mode == "roi":
-        left_box, right_box = preprocess.geometric_eye_rois(sample.face)
-        box = left_box if side == "left" else right_box
-    else:
-        if sample.landmarks is None:
-            raise ValueError(
-                f"{sample.image_path}: ert mode needs eye-corner landmarks"
-            )
-        lm = sample.landmarks
-        if side == "left":
-            box = preprocess.landmark_eye_crop(lm.left_inner, lm.left_outer)
-        else:
-            box = preprocess.landmark_eye_crop(lm.right_inner, lm.right_outer)
-    sub = preprocess.crop(gray, box)
-    return preprocess.resize_bilinear(sub, out_w=patch_hw[1], out_h=patch_hw[0])
+        boxes = preprocess.geometric_eye_rois(sample.face)
+        return tuple(box if w else None for box, w in zip(boxes, wanted))
+    lm = sample.landmarks
+    if lm is None:
+        raise ValueError(f"{sample.image_path}: ert mode needs eye-corner landmarks")
+    corners = ((lm.left_inner, lm.left_outer), (lm.right_inner, lm.right_outer))
+    return tuple(
+        preprocess.landmark_eye_crop(*c) if w else None for c, w in zip(corners, wanted)
+    )
 
 
-def make_eye_patches(
-    samples: list[Sample],
-    side: str,
-    mode: str,
-    patch_hw: tuple[int, int] | None = None,
-    image_root: str = "",
-    split: str = "train",
-    labels=None,
-) -> list[EyePatch]:
-    """Extracts one patch per sample for the chosen eye, tagged with its split.
+def eye_pair(
+    gray: np.ndarray, sample: Sample, mode: str, patch_hw: tuple[int, int], eye: str = "both"
+) -> tuple:
+    """(left, right) patches of one decoded image, cropped and resized to
+    patch_hw; an eye that `eye` does not select is None and is not cropped."""
+    h, w = patch_hw
+    return tuple(
+        None if box is None else preprocess.resize_bilinear(preprocess.crop(gray, box), w, h)
+        for box in eye_boxes(sample, mode, eye)
+    )
+
+
+def extract_patch(
+    gray: np.ndarray, sample: Sample, side: str, mode: str, patch_hw: tuple[int, int]
+) -> np.ndarray:
+    """Crop one eye and resize to patch_hw; the other eye is not cropped."""
+    return eye_pair(gray, sample, mode, patch_hw, eye=side)[SIDES.index(side)]
+
+
+def make_eye_pairs(
+    samples: list[Sample], mode: str, patch_hw: tuple[int, int] | None = None,
+    image_root: str = "", split: str = "train", labels=None, eye: str = "both",
+) -> tuple[list[EyePatch], list[EyePatch]]:
+    """Decodes each image once into (left, right) patch lists tagged with their
+    split; the list of an eye that `eye` does not select stays empty.
 
     labels defaults to each sample's 7-class index; pass explicit labels for
     3-class runs.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if mode not in ("roi", "ert"):
         raise ValueError(f"mode must be 'roi' or 'ert', got {mode!r}")
     hw = default_patch_hw(mode) if patch_hw is None else patch_hw
-    out = []
+    out: tuple[list[EyePatch], list[EyePatch]] = ([], [])
     for i, sample in enumerate(samples):
         img = preprocess.read_pnm(os.path.join(image_root, sample.image_path))
         gray = preprocess.to_grayscale(img)
-        pixels = extract_patch(gray, sample, side, mode, hw)
         label = int(sample.eac) if labels is None else int(labels[i])
-        out.append(EyePatch(pixels=pixels, label=label, split=split))
+        for patches, pixels in zip(out, eye_pair(gray, sample, mode, hw, eye)):
+            if pixels is not None:
+                patches.append(EyePatch(pixels, label, split))
     return out
+
+
+def make_eye_patches(
+    samples: list[Sample], side: str, mode: str, patch_hw: tuple[int, int] | None = None,
+    image_root: str = "", split: str = "train", labels=None,
+) -> list[EyePatch]:
+    """One eye's patches: `make_eye_pairs` cropping only that eye."""
+    if side not in SIDES:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    pairs = make_eye_pairs(samples, mode, patch_hw, image_root, split, labels, eye=side)
+    return pairs[SIDES.index(side)]
 
 
 def patches_to_tensors(patches: list[EyePatch]) -> list[tuple[np.ndarray, int]]:

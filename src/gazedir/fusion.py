@@ -76,6 +76,16 @@ class EvalResult:
     confusion: ConfusionMatrix
 
 
+def score_pair(model_left, model_right, x_left, x_right, eye: str = "both") -> np.ndarray:
+    """Scores one eye pair: one network's softmax for eye "left" or "right",
+    the fused mean of both for "both"; an unused eye's tensor may be None."""
+    if eye == "left":
+        return model_left.forward(x_left)
+    if eye == "right":
+        return model_right.forward(x_right)
+    return fuse_scores(model_left.forward(x_left), model_right.forward(x_right))
+
+
 def evaluate(model_left, model_right, samples, eye: str = "both") -> EvalResult:
     """Deterministic metrics over (left_tensor, right_tensor, label) triples.
 
@@ -83,10 +93,9 @@ def evaluate(model_left, model_right, samples, eye: str = "both") -> EvalResult:
     """
     if eye not in ("left", "right", "both"):
         raise ValueError(f"eye must be left|right|both, got {eye!r}")
-    if eye in ("left", "both") and model_left is None:
-        raise ValueError("left model required")
-    if eye in ("right", "both") and model_right is None:
-        raise ValueError("right model required")
+    for side, model in zip(dataset.SIDES, (model_left, model_right)):
+        if eye in (side, "both") and model is None:
+            raise ValueError(f"{side} model required")
     if eye == "both" and model_left.n_classes != model_right.n_classes:
         raise ValueError(
             f"class-count mismatch between models: "
@@ -95,13 +104,7 @@ def evaluate(model_left, model_right, samples, eye: str = "both") -> EvalResult:
     n_classes = (model_right if eye == "right" else model_left).n_classes
     cm = ConfusionMatrix(n_classes)
     for xl, xr, label in samples:
-        if eye == "left":
-            score = model_left.forward(xl)
-        elif eye == "right":
-            score = model_right.forward(xr)
-        else:
-            score = fuse_scores(model_left.forward(xl), model_right.forward(xr))
-        cm.add(int(label), predict_class(score))
+        cm.add(int(label), predict_class(score_pair(model_left, model_right, xl, xr, eye)))
     return EvalResult(cm.accuracy, cm.per_class_accuracy, cm)
 
 
@@ -129,12 +132,12 @@ class LatencyReport:
 
     def as_dict(self) -> dict:
         def stats(s: StageStats) -> dict:
-            return {"mean_ms": s.mean_ms, "p50_ms": s.p50_ms, "p95_ms": s.p95_ms}
+            return {k: round_sig(v) for k, v in vars(s).items()}
 
         return {
             "stages": {name: stats(s) for name, s in self.stages.items()},
             "end_to_end": stats(self.end_to_end),
-            "fps": self.fps,
+            "fps": round_sig(self.fps),
             "n_frames": self.n_frames,
             "warmup": self.warmup,
         }
@@ -146,11 +149,9 @@ def _run_stages(model_left, model_right, frame, mode, patch_hw, timings):
     sample = dataset.Sample("<frame>", face, dataset.EacClass.VD, landmarks)
 
     t0 = time.perf_counter()
-    patch_l = dataset.extract_patch(gray, sample, "left", mode, patch_hw)
-    patch_r = dataset.extract_patch(gray, sample, "right", mode, patch_hw)
+    patches = dataset.eye_pair(gray, sample, mode, patch_hw)
     t1 = time.perf_counter()
-    x_l = preprocess.normalize(patch_l)
-    x_r = preprocess.normalize(patch_r)
+    x_l, x_r = (preprocess.normalize(p) for p in patches)
     t2 = time.perf_counter()
     score_l = model_left.forward(x_l)
     t3 = time.perf_counter()
@@ -212,26 +213,17 @@ def bench_latency(
 # --------------------------------------------------------------------------
 
 def round_sig(x: float, digits: int = 6):
-    """Floats in reports carry 6 significant digits; NaN becomes None."""
-    if x is None or (isinstance(x, float) and math.isnan(x)):
+    """Measured floats in reports carry 6 significant digits (the config echo
+    keeps full precision, so it reproduces the run); NaN becomes None."""
+    if math.isnan(x):
         return None
     return float(f"{x:.{digits}g}")
 
 
-def _rounded(obj):
-    if isinstance(obj, float):
-        return round_sig(obj)
-    if isinstance(obj, dict):
-        return {k: _rounded(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_rounded(v) for v in obj]
-    return obj
-
-
 def dump_json(payload: dict, path) -> None:
-    """Deterministic report JSON: sorted keys, floats at 6 significant digits."""
+    """Deterministic report JSON with sorted keys; floats are written as given."""
     with open(path, "w", encoding="utf-8", newline="") as f:
-        json.dump(_rounded(payload), f, indent=2, sort_keys=True)
+        json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -250,10 +242,9 @@ def emit_report(result: EvalResult, class_names, meta: dict, out_dir) -> list[st
         f.write("\n".join(lines) + "\n")
 
     metrics = {
-        "accuracy": result.accuracy,
+        "accuracy": round_sig(result.accuracy),
         "per_class_accuracy": {
-            name: (None if math.isnan(acc) else float(acc))
-            for name, acc in zip(names, result.per_class_accuracy)
+            name: round_sig(float(acc)) for name, acc in zip(names, result.per_class_accuracy)
         },
         "n_test": result.confusion.total,
         **meta,

@@ -74,7 +74,11 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def read_pnm(path) -> np.ndarray:
-    """Reads binary PGM (P5) or PPM (P6); returns uint8 (H,W) or (H,W,3)."""
+    """Reads binary PGM (P5) or PPM (P6); returns uint8 (H,W) or (H,W,3).
+
+    Samples of a file with maxval < 255 are rescaled to 0..255 as
+    floor(v * 255 / maxval + 0.5).
+    """
     with open(path, "rb") as f:
         buf = f.read()
     magic, pos = _next_token(buf, 0)
@@ -96,6 +100,11 @@ def read_pnm(path) -> np.ndarray:
     if len(raster) != count:
         raise ValueError(f"{path}: raster truncated")
     img = np.frombuffer(raster, dtype=np.uint8)
+    if maxval != 255:
+        if img.max() > maxval:
+            raise ValueError(f"{path}: sample above maxval {maxval}")
+        # floor(v * 255 / maxval + 0.5) in exact integer arithmetic
+        img = ((img.astype(np.uint32) * 510 + maxval) // (2 * maxval)).astype(np.uint8)
     shape = (height, width) if channels == 1 else (height, width, 3)
     return img.reshape(shape).copy()
 

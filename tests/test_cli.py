@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gazedir import cli, dataset, nn, synth
+from gazedir import cli, dataset, nn, preprocess, synth
 from gazedir.config import ConfigError, RunConfig, load_config
 
 
@@ -196,6 +196,20 @@ class TestConfig:
                     "--report-dir", str(reports)]) == 0
         assert (reports / "metrics.json").read_bytes() == first
 
+    def test_report_echo_keeps_full_float_precision(self, trained, corpus, tmp_path):
+        """Only measured values are rounded: an lr that needs more than six
+        significant digits survives the metrics.json echo."""
+        ini = tmp_path / "lr.ini"
+        ini.write_text("[train]\nlr = 0.0123456789\n")
+        assert run([
+            "eval", "--config", str(ini), "--manifest", str(corpus / "manifest.csv"),
+            "--model-dir", str(trained / "models"),
+            "--report-dir", str(tmp_path), "--mode", "ert", "--seed", "1",
+        ]) == 0
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert metrics["config"]["lr"] == 0.0123456789
+        assert RunConfig.from_dict(metrics["config"]).config_hash() == metrics["config_hash"]
+
 
 class TestTrainCommand:
     def test_outputs(self, trained):
@@ -266,6 +280,30 @@ class TestTrainCommand:
         ])
         assert code == 0
         assert (tmp_path / "m" / "model_left.gdn").exists()
+
+
+class TestDecodeOnce:
+    @pytest.mark.parametrize("mode", ["roi", "ert"])
+    def test_train_and_eval_decode_each_image_once(self, corpus, tmp_path, monkeypatch, mode):
+        decoded = []
+        read_pnm = preprocess.read_pnm
+
+        def counting_read_pnm(path):
+            decoded.append(os.path.normpath(path))
+            return read_pnm(path)
+
+        monkeypatch.setattr(preprocess, "read_pnm", counting_read_pnm)
+        common = [
+            "--manifest", str(corpus / "manifest.csv"), "--model-dir", str(tmp_path),
+            "--report-dir", str(tmp_path), "--mode", mode, "--seed", "0",
+        ]
+        assert run(["train", *common, "--epochs", "0"]) == 0
+        train, decoded[:] = list(decoded), []
+        assert run(["eval", *common]) == 0
+        # 14 images split 7/7; each side of the split decodes each image once
+        for paths in (train, decoded):
+            assert len(paths) == len(set(paths)) == 7
+        assert not set(train) & set(decoded)
 
 
 class TestEvalCommand:
@@ -377,6 +415,21 @@ class TestPredictCommand:
         assert code == 0
         out = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
         assert len(out["scores"]) == 7
+
+    def test_unscored_eye_is_not_cropped(self, trained, corpus, capsys):
+        # the image-right corners coincide and lie off the 120x120 image
+        lm = synth.canonical_landmarks()
+        landmarks = ",".join(str(v) for v in (*lm.left_outer, *lm.left_inner, 500, 45, 500, 45))
+        args = [
+            "predict", "--image", str(corpus / "vd_000.pgm"),
+            "--face", "10,10,100,100", "--landmarks", landmarks,
+            "--model-dir", str(trained / "models"), "--mode", "ert",
+        ]
+        assert run([*args, "--eye", "left"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["scores"]) == 7
+        assert run([*args, "--eye", "right"]) == 1
+        assert run([*args, "--eye", "both"]) == 1
+        assert "coincident eye corners" in capsys.readouterr().err
 
     def test_ert_without_landmarks_is_validation_error(self, trained, corpus, capsys):
         code = run([

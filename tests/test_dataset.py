@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gazedir import dataset, synth
@@ -100,6 +100,33 @@ class TestLoadManifest:
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             dataset.load_manifest(tmp_path / "absent.csv")
+
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_truncated_or_garbled_file(self, tmp_path, data):
+        valid = (
+            "# comment\n" + HEADER + "\n"
+            "a.pgm,AR,1,2,100,120,10,20,30,20,60,20,80,20,s01\n"
+            "b.pgm,VD,0,0,10,10,,,,,,,,,\n"
+        ).encode("utf-8")
+        blob = bytearray(valid)
+        flips = data.draw(st.lists(
+            st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)), max_size=3
+        ))
+        for pos, value in flips:
+            blob[pos] = value
+        cut = data.draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob))))
+        path = tmp_path / "fuzz.csv"
+        path.unlink(missing_ok=True)  # a new file: truncating in place can be slow
+        path.write_bytes(bytes(blob[:cut]))
+        try:
+            samples = dataset.load_manifest(path)
+        except ValueError:  # includes ManifestError and UnicodeDecodeError
+            return
+        assert all(isinstance(s, Sample) for s in samples)
 
     def test_write_then_load_round_trip(self, tmp_path):
         samples = [

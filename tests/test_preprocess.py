@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gazedir import preprocess
 from gazedir.preprocess import Box
@@ -35,6 +37,49 @@ class TestPnmCodec:
         path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
         with pytest.raises(ValueError, match="maxval"):
             preprocess.read_pnm(path)
+
+    def test_low_maxval_rescaled_to_8_bit(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n2 1\n15\n" + bytes([15, 7]))
+        npt.assert_array_equal(preprocess.read_pnm(path), [[255, 119]])
+        # floor(v * 255 / maxval + 0.5) in exact arithmetic: 127.5 rounds up
+        path.write_bytes(b"P6\n2 1\n100\n" + bytes([100, 50, 0, 1, 99, 2]))
+        npt.assert_array_equal(
+            preprocess.read_pnm(path), [[[255, 128, 0], [3, 252, 5]]]
+        )
+
+    def test_sample_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n2 1\n15\n" + bytes([15, 16]))
+        with pytest.raises(ValueError, match=r"img\.pgm: sample above maxval 15"):
+            preprocess.read_pnm(path)
+
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_truncated_or_garbled_file(self, tmp_path, data):
+        # small rasters, so random positions often hit the header
+        valid = data.draw(st.sampled_from([
+            b"P5\n3 2\n15\n" + bytes([0, 1, 7, 8, 14, 15]),
+            b"P6 # rgb\n2 1\n255\n" + bytes([0, 64, 128, 192, 255, 9]),
+        ]))
+        blob = bytearray(valid)
+        flips = data.draw(st.lists(
+            st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)), max_size=3
+        ))
+        for pos, value in flips:
+            blob[pos] = value
+        cut = data.draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob))))
+        path = tmp_path / "fuzz.pnm"
+        path.unlink(missing_ok=True)  # a new file: truncating in place can be slow
+        path.write_bytes(bytes(blob[:cut]))
+        try:
+            img = preprocess.read_pnm(path)
+        except ValueError:
+            return
+        assert img.dtype == np.uint8 and img.ndim in (2, 3)
 
     def test_truncated_raster_rejected(self, tmp_path):
         path = tmp_path / "img.pgm"
