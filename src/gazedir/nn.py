@@ -109,13 +109,17 @@ def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> li
 # output_shape(shape) maps one sample's input shape to its output shape and
 # rejects inputs the layer cannot take; Model runs it once over the layer
 # list. backward(upstream) needs the caches of a forward(x, cache=True)
-# over the same batch.
+# over the same batch, and raises ValueError when they are missing or stale.
 # --------------------------------------------------------------------------
 
-def _check_upstream(kind: str, upstream: np.ndarray, expected: tuple) -> None:
+def _check_upstream(layer, upstream: np.ndarray, input_shape: tuple | None) -> None:
+    """input_shape is the batch shape the layer's cached forward took, or None."""
+    if input_shape is None:
+        raise ValueError(f"{layer.kind}.backward: no forward was cached (forward(x, cache=True))")
+    expected = input_shape[:1] + layer.output_shape(input_shape[1:])
     if upstream.shape != expected:
         raise ValueError(
-            f"{kind}.backward: upstream shape {upstream.shape} does not match the "
+            f"{layer.kind}.backward: upstream shape {upstream.shape} does not match the "
             f"cached forward output {expected} (stale cache)"
         )
 
@@ -165,7 +169,7 @@ class Conv2D:
         """Accumulates parameter grads; returns the input grad, or None when
         need_input_grad is False."""
         cached = self._input_shape
-        _check_upstream(self.kind, upstream, cached[:1] + self.output_shape(cached[1:]))
+        _check_upstream(self, upstream, cached)
         b, out_ch, h, w = upstream.shape
         self.grad_bias += upstream.sum(axis=(0, 2, 3))
         up_mat = upstream.reshape(b, out_ch, h * w)
@@ -206,7 +210,7 @@ class ReLU:
 
     def backward(self, upstream):
         """Masked pass-through; the subgradient at exactly 0 is 0."""
-        _check_upstream(self.kind, upstream, self._input.shape)
+        _check_upstream(self, upstream, None if self._input is None else self._input.shape)
         return upstream * (self._input > 0)
 
     def params(self):
@@ -220,14 +224,15 @@ class MaxPool2:
     """Non-overlapping 2x2 max pool; a trailing odd row/column is dropped.
 
     Within a window the first maximum in row-major order wins, and backward
-    routes each upstream value to that position only.
+    routes each upstream value to that position only. Routing for a window
+    holding NaN is unspecified.
     """
 
     kind = "MaxPool2"
     n_params = 0
 
     def __init__(self):
-        self._argmax = None
+        self._winner = None
         self._input_shape = None
 
     def output_shape(self, shape: tuple) -> tuple:
@@ -236,21 +241,23 @@ class MaxPool2:
         return (shape[0], shape[1] // 2, shape[2] // 2)
 
     def forward(self, x, cache=False):
-        b, c, h, w = x.shape
-        ho, wo = h // 2, w // 2
-        win = x[:, :, : ho * 2, : wo * 2].reshape(b, c, ho, 2, wo, 2)
-        win = win.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, ho, wo, 4)
-        idx = win.argmax(axis=4)  # first max wins: row-major tie-break
+        ho, wo = x.shape[2] // 2, x.shape[3] // 2
+        # window positions 0..3 in row-major order, as strided views
+        q0, q1, q2, q3 = (x[:, :, u : 2 * ho : 2, v : 2 * wo : 2] for u in (0, 1) for v in (0, 1))
+        top, bottom = np.maximum(q0, q1), np.maximum(q2, q3)
         if cache:
-            self._argmax = idx
+            # position of the first maximum, as a u8 code 0..3
+            self._winner = np.where(
+                top >= bottom, (q0 < top).view(np.uint8), 2 + (q2 < bottom).view(np.uint8)
+            )
             self._input_shape = x.shape
-        return np.take_along_axis(win, idx[..., None], axis=4)[..., 0]
+        return np.maximum(top, bottom)
 
     def backward(self, upstream):
-        _check_upstream(self.kind, upstream, self._argmax.shape)
+        _check_upstream(self, upstream, self._input_shape)
         b, c, ho, wo = upstream.shape
         grad = np.zeros(self._input_shape, dtype=upstream.dtype)
-        u, v = self._argmax // 2, self._argmax % 2
+        u, v = self._winner >> 1, self._winner & 1
         bi = np.arange(b)[:, None, None, None]
         ci = np.arange(c)[None, :, None, None]
         ri = 2 * np.arange(ho)[None, None, :, None] + u
@@ -300,6 +307,7 @@ class Dense:
         return flat @ self.weights.T + self.bias
 
     def backward(self, upstream):
+        _check_upstream(self, upstream, self._input_shape)
         self.grad_weights += upstream.T @ self._flat
         self.grad_bias += upstream.sum(axis=0)
         return (upstream @ self.weights).reshape(self._input_shape)

@@ -4,14 +4,17 @@ benchmark runs; and its per-side calls must measure the CLI's pixels."""
 
 import collections
 import importlib.util
+import json
 import os
 
+import numpy as np
 import pytest
 
 import gazedir
 from gazedir import augment, dataset, fusion, nn, preprocess, synth  # noqa: F401  (loads the submodules)
 
-TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+TRACER_PATH = os.path.join(ROOT, "perfbench", "tracer.py")
 
 
 def load_tracer():
@@ -33,6 +36,30 @@ def test_traced_module_functions_resolve():
     t.restore()
     for (key, attr), fn in originals.items():
         assert getattr(getattr(gazedir, key), attr) is fn
+
+
+def test_declared_layer_metrics_record_calls():
+    """Every per-layer nn.fwd/train_fwd/bwd metric the benchmark declares
+    names a layer of the gaze net and sees a call: a fused or bypassed
+    layer would otherwise read 0 calls and 0 ms without failing."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+        declared = [d["name"] for d in json.load(f)["per_layer"]]
+    prefixes = ("nn.fwd.", "nn.train_fwd.", "nn.bwd.")
+    spans = {name.rsplit(".", 1)[0] for name in declared if name.startswith(prefixes)}
+    assert spans
+
+    tracer = load_tracer()
+    model = nn.build_gaze_net(15, 25, 7)
+    assert {s.split(".")[2] for s in spans} <= set(tracer.layer_names(model))
+    t = tracer.Tracer()
+    t.instrument_model(model)
+    rng = np.random.default_rng(0)
+    model.forward(rng.normal(size=(1, 15, 25)))
+    model.batch_loss_and_backward(rng.normal(size=(4, 1, 15, 25)), np.arange(4))
+    t.restore()
+    calls = collections.Counter(t.names[n] for n in t.name)
+    assert not any(t.failed)
+    assert {s for s in spans if calls[s] == 0} == set()
 
 
 def counting(fn, calls, name):

@@ -4,6 +4,9 @@ cases plus finite-difference oracles."""
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gazedir import nn
 
@@ -71,6 +74,10 @@ class TestRelu:
         relu.forward(np.zeros((1, 4)), cache=True)
         with pytest.raises(ValueError, match="stale"):
             relu.backward(np.zeros((1, 3)))
+
+    def test_backward_without_forward_rejected(self):
+        with pytest.raises(ValueError, match="no forward was cached"):
+            nn.ReLU().backward(np.zeros((1, 3)))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -174,6 +181,34 @@ class TestConv2d:
         with pytest.raises(ValueError, match="stale"):
             conv.backward(np.zeros((1, 2, 4, 4)))
 
+    def test_backward_without_forward_rejected(self):
+        conv = nn.Conv2D(np.zeros((3, 1, 3, 3)), np.zeros(3))
+        with pytest.raises(ValueError, match="no forward was cached"):
+            conv.backward(np.zeros((1, 3, 4, 4)))
+
+
+def oracle_pool_forward(x):
+    """Window-last argmax + take_along_axis: the reference 2x2 max pool.
+    Returns the pooled values and the row-major first-max index 0..3."""
+    b, c, h, w = x.shape
+    ho, wo = h // 2, w // 2
+    win = x[:, :, : ho * 2, : wo * 2].reshape(b, c, ho, 2, wo, 2)
+    win = win.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, ho, wo, 4)
+    idx = win.argmax(axis=4)
+    return np.take_along_axis(win, idx[..., None], axis=4)[..., 0], idx
+
+
+def oracle_pool_backward(idx, input_shape, upstream):
+    """Scatters each upstream value to the window position idx names."""
+    b, c, ho, wo = upstream.shape
+    grad = np.zeros(input_shape, dtype=upstream.dtype)
+    bi = np.arange(b)[:, None, None, None]
+    ci = np.arange(c)[None, :, None, None]
+    ri = 2 * np.arange(ho)[None, None, :, None] + idx // 2
+    cj = 2 * np.arange(wo)[None, None, None, :] + idx % 2
+    grad[bi, ci, ri, cj] = upstream
+    return grad
+
 
 class TestMaxPool2:
     # the argmax position of test_single_window is asserted by test_backward_routing
@@ -218,6 +253,21 @@ class TestMaxPool2:
         with pytest.raises(ValueError, match="stale"):
             pool.backward(np.zeros((1, 1, 3, 3)))
 
+    def test_backward_without_forward_rejected(self):
+        with pytest.raises(ValueError, match="no forward was cached"):
+            nn.MaxPool2().backward(np.zeros((1, 1, 2, 2)))
+
+    def test_inference_forward_leaves_the_cache(self):
+        # an uncached forward over another batch must not feed a later backward
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(2, 3, 4, 6))
+        up = rng.normal(size=(2, 3, 2, 3))
+        pool = nn.MaxPool2()
+        pool.forward(x, cache=True)
+        expected = pool.backward(up)
+        pool.forward(rng.normal(size=(1, 3, 8, 8)))
+        assert pool.backward(up).tobytes() == expected.tobytes()
+
     def test_tie_breaks_to_first_row_major(self):
         # the gradient lands only on the first maximum in row-major order
         grad = fwd_bwd(nn.MaxPool2(), [[[5.0, 5.0], [5.0, 5.0]]], [[[1.0]]])
@@ -236,6 +286,27 @@ class TestMaxPool2:
         )
         assert rel_err(analytic, numeric) < 1e-4
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_argmax_reference(self, data):
+        shape = tuple(data.draw(st.tuples(
+            st.integers(1, 3), st.integers(1, 3), st.integers(2, 9), st.integers(2, 9)
+        )))
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if data.draw(st.booleans(), label="ties"):
+            ties = st.sampled_from([-1.0, 0.0, 1.0, 2.0])
+            x = data.draw(hnp.arrays(dtype, shape, elements=ties))
+        else:
+            x = rng.normal(size=shape).astype(dtype)
+        pool = nn.MaxPool2()
+        out = pool.forward(x, cache=True)
+        expected, idx = oracle_pool_forward(x)
+        # values, not bytes: a window of raw +-0.0 may pool to either zero
+        assert out.dtype == expected.dtype and np.array_equal(out, expected)
+        up = rng.normal(size=out.shape).astype(dtype)
+        assert pool.backward(up).tobytes() == oracle_pool_backward(idx, x.shape, up).tobytes()
+
 
 class TestDense:
     def test_identity_weights(self):
@@ -253,6 +324,17 @@ class TestDense:
             nn.Dense(np.zeros(4), np.zeros(1))
         with pytest.raises(ValueError):
             nn.Dense(np.zeros((2, 4)), np.zeros(3))
+
+    def test_backward_shape_mismatch(self):
+        dense = nn.Dense(np.zeros((3, 4)), np.zeros(3))
+        dense.forward(np.zeros((2, 4)), cache=True)
+        for rows in (1, 5):
+            with pytest.raises(ValueError, match="stale"):
+                dense.backward(np.zeros((rows, 3)))
+
+    def test_backward_without_forward_rejected(self):
+        with pytest.raises(ValueError, match="no forward was cached"):
+            nn.Dense(np.zeros((3, 4)), np.zeros(3)).backward(np.zeros((1, 3)))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(10)
