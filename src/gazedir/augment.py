@@ -53,7 +53,6 @@ def rotate(img: np.ndarray, degrees: float) -> np.ndarray:
     if degrees == 0:
         return img.copy()
     h, w = img.shape
-    src = img.astype(np.float64, copy=False)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     rad = math.radians(degrees)
     cos_t, sin_t = math.cos(rad), math.sin(rad)
@@ -61,15 +60,7 @@ def rotate(img: np.ndarray, degrees: float) -> np.ndarray:
     v = (np.arange(h) - cy)[:, None]
     xs = np.clip(cx + u * cos_t - v * sin_t, 0, w - 1)
     ys = np.clip(cy + u * sin_t + v * cos_t, 0, h - 1)
-    x0 = np.floor(xs).astype(int)
-    y0 = np.floor(ys).astype(int)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = xs - x0
-    fy = ys - y0
-    top = src[y0, x0] + (src[y0, x1] - src[y0, x0]) * fx
-    bottom = src[y1, x0] + (src[y1, x1] - src[y1, x0]) * fx
-    return _restore_dtype(top + (bottom - top) * fy, img)
+    return _restore_dtype(preprocess.bilinear_sample(img, xs, ys), img)
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:

@@ -34,39 +34,28 @@ def class_names(n_classes: int) -> list[str]:
     return [c.name for c in ThreeClass]
 
 
-def _labeled_samples(cfg: RunConfig) -> list[tuple[dataset.Sample, int]]:
-    """Manifest rows paired with run labels; 3-class mode drops excluded rows."""
+def _label(cfg: RunConfig, sample: dataset.Sample) -> int | None:
+    """The sample's run label; None when 3-class mode drops its class."""
+    if cfg.classes == 7:
+        return int(sample.eac)
+    mapped = dataset.to_three_class(sample, cfg.map3)
+    return None if mapped is None else int(mapped)
+
+
+def _split(cfg: RunConfig) -> dataset.SplitPair:
+    """Manifest rows that carry a run label, split into train and test."""
     if cfg.manifest is None:
         raise ConfigError("no manifest configured (set [data] manifest or --manifest)")
-    samples = dataset.load_manifest(cfg.manifest)
-    if cfg.classes == 7:
-        records = [(s, int(s.eac)) for s in samples]
-    else:
-        records = []
-        for s in samples:
-            mapped = dataset.to_three_class(s, cfg.map3)
-            if mapped is not None:
-                records.append((s, int(mapped)))
-    if not records:
+    samples = [s for s in dataset.load_manifest(cfg.manifest) if _label(cfg, s) is not None]
+    if not samples:
         raise ConfigError("dataset empty after label filtering")
-    return records
+    split = dataset.split_subject_disjoint if cfg.subject_split else dataset.split_50_50
+    return split(samples, cfg.seed)
 
 
-def _split_records(cfg: RunConfig, records):
-    if cfg.subject_split:
-        samples = [r[0] for r in records]
-        pair = dataset.split_subject_disjoint(samples, cfg.seed)
-        label_of = {id(r[0]): r[1] for r in records}
-        train = [(s, label_of[id(s)]) for s in pair.train]
-        test = [(s, label_of[id(s)]) for s in pair.test]
-        return train, test
-    pair = dataset.split_50_50(records, cfg.seed)
-    return pair.train, pair.test
-
-
-def _eye_pairs(cfg: RunConfig, records, split: str):
-    """(left, right) patch lists of the records; each image is decoded once."""
-    samples, labels = [r[0] for r in records], [r[1] for r in records]
+def _eye_pairs(cfg: RunConfig, samples: list[dataset.Sample], split: str):
+    """(left, right) patch lists of the samples; each image is decoded once."""
+    labels = [_label(cfg, s) for s in samples]
     return dataset.make_eye_pairs(
         samples, cfg.mode, cfg.patch_hw, cfg.resolved_image_root(), split, labels
     )
@@ -96,15 +85,15 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config_from(args)
-    train_records, _ = _split_records(cfg, _labeled_samples(cfg))
-    if not train_records:
+    train = _split(cfg).train
+    if not train:
         raise ConfigError("training split is empty")
     h, w = cfg.patch_hw
     os.makedirs(cfg.model_dir, exist_ok=True)
 
     losses: list[list[float]] = []  # per side, per epoch
     for seed_offset, (side, filename, patches) in enumerate(zip(
-        dataset.SIDES, (MODEL_LEFT, MODEL_RIGHT), _eye_pairs(cfg, train_records, "train")
+        dataset.SIDES, (MODEL_LEFT, MODEL_RIGHT), _eye_pairs(cfg, train, "train")
     )):
         tensors = dataset.patches_to_tensors(augment.expand(patches, cfg.policy))
         xs = [t for t, _ in tensors]
@@ -155,12 +144,12 @@ def cmd_eval(args) -> int:
     cfg = _config_from(args)
     eye = args.eye
     model_left, model_right = _load_models(cfg, cfg.model_dir, eye)
-    _, test_records = _split_records(cfg, _labeled_samples(cfg))
-    if not test_records:
+    test = _split(cfg).test
+    if not test:
         raise ConfigError("test split is empty")
     triples = [
         (preprocess.normalize(pl.pixels), preprocess.normalize(pr.pixels), pl.label)
-        for pl, pr in zip(*_eye_pairs(cfg, test_records, "test"))
+        for pl, pr in zip(*_eye_pairs(cfg, test, "test"))
     ]
     result = fusion.evaluate(model_left, model_right, triples, eye=eye)
     names = class_names(cfg.classes)
@@ -173,29 +162,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_face(text: str) -> preprocess.Box:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ConfigError("--face expects x,y,w,h")
-    x, y, w, h = (int(p) for p in parts)
-    if w <= 0 or h <= 0:
-        raise ConfigError("face box extents must be positive")
-    return preprocess.Box(x, y, w, h)
-
-
-def _parse_landmarks(text: str) -> preprocess.EyeLandmarks:
-    parts = text.split(",")
-    if len(parts) != 8:
-        raise ConfigError(
-            "--landmarks expects lo_x,lo_y,li_x,li_y,ri_x,ri_y,ro_x,ro_y"
-        )
-    v = [float(p) for p in parts]
-    return preprocess.EyeLandmarks(
-        left_outer=(v[0], v[1]), left_inner=(v[2], v[3]),
-        right_inner=(v[4], v[5]), right_outer=(v[6], v[7]),
-    )
-
-
 def cmd_predict(args) -> int:
     cfg = _config_from(args)
     eye = args.eye
@@ -203,8 +169,8 @@ def cmd_predict(args) -> int:
         raise ConfigError(
             "ert mode needs --landmarks lo_x,lo_y,li_x,li_y,ri_x,ri_y,ro_x,ro_y"
         )
-    face = _parse_face(args.face)
-    landmarks = _parse_landmarks(args.landmarks) if args.landmarks else None
+    face = dataset.parse_face(args.face.split(","))
+    landmarks = dataset.parse_landmarks(args.landmarks.split(",")) if args.landmarks else None
     sample = dataset.Sample(args.image, face, EacClass.VD, landmarks)
     gray = preprocess.to_grayscale(preprocess.read_pnm(args.image))
     model_left, model_right = _load_models(cfg, cfg.model_dir, eye)

@@ -64,12 +64,7 @@ _FIELDS = (
     ("augment", "scales", _parse_float_list),
 )
 
-_MAP3_VALUES = {
-    "left": ThreeClass.LEFT,
-    "center": ThreeClass.CENTER,
-    "right": ThreeClass.RIGHT,
-    "excluded": None,
-}
+_MAP3_VALUES = {**{c.name.lower(): c for c in ThreeClass}, "excluded": None}
 
 
 @dataclass
@@ -228,7 +223,7 @@ def _apply_file(cfg: RunConfig, parser: configparser.ConfigParser, source) -> No
             token = value.strip().lower()
             if token not in _MAP3_VALUES:
                 raise ConfigError(
-                    f"{source}: [map3] {key} must be left|center|right|excluded"
+                    f"{source}: [map3] {key} must be {'|'.join(_MAP3_VALUES)}"
                 )
             map3[EacClass[key.upper()]] = _MAP3_VALUES[token]
         cfg.map3 = map3

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 import os
 from dataclasses import dataclass
 
@@ -124,30 +125,47 @@ def _parse_row(row: list[str]) -> Sample:
     if token not in EacClass.__members__:
         raise ValueError(f"unknown eac label {fields[1]!r}")
     eac = EacClass[token]
-    try:
-        face = Box(*(int(v) for v in fields[2:6]))
-    except ValueError:
-        raise ValueError(f"bad face box {fields[2:6]}")
-    if face.w <= 0 or face.h <= 0:
-        raise ValueError(f"non-positive face extents {fields[2:6]}")
+    face = parse_face(fields[2:6])
     lm_fields = fields[6:14]
     if all(v == "" for v in lm_fields):
         landmarks = None
     elif all(v != "" for v in lm_fields):
-        try:
-            vals = [float(v) for v in lm_fields]
-        except ValueError:
-            raise ValueError(f"bad landmark coordinates {lm_fields}")
-        landmarks = EyeLandmarks(
-            left_outer=(vals[0], vals[1]),
-            left_inner=(vals[2], vals[3]),
-            right_inner=(vals[4], vals[5]),
-            right_outer=(vals[6], vals[7]),
-        )
+        landmarks = parse_landmarks(lm_fields)
     else:
         raise ValueError("landmark columns must be all present or all empty")
     subject = fields[14] or None
     return Sample(fields[0], face, eac, landmarks, subject)
+
+
+def parse_face(tokens: list[str]) -> Box:
+    """Face box from the integer tokens x, y, w, h: positive extents, |values| < 2**31."""
+    if len(tokens) != 4:
+        raise ValueError(f"face box needs 4 values x,y,w,h, got {len(tokens)}")
+    try:
+        v = [int(t) for t in tokens]
+    except ValueError:
+        raise ValueError(f"bad face box {tokens}") from None
+    if v[2] <= 0 or v[3] <= 0:
+        raise ValueError(f"non-positive face extents {tokens}")
+    if max(map(abs, v)) >= 2**31:
+        raise ValueError(f"face box values beyond 32 bits {tokens}")
+    return Box(*v)
+
+
+def parse_landmarks(tokens: list[str]) -> EyeLandmarks:
+    """Eye corners from the eight finite tokens lo_x,lo_y,li_x,li_y,ri_x,ri_y,ro_x,ro_y."""
+    if len(tokens) != 8:
+        raise ValueError(f"landmarks need 8 values, got {len(tokens)}")
+    try:
+        v = [float(t) for t in tokens]
+    except ValueError:
+        raise ValueError(f"bad landmark coordinates {tokens}") from None
+    if not all(math.isfinite(c) for c in v):
+        raise ValueError(f"non-finite landmark coordinates {tokens}")
+    return EyeLandmarks(
+        left_outer=(v[0], v[1]), left_inner=(v[2], v[3]),
+        right_inner=(v[4], v[5]), right_outer=(v[6], v[7]),
+    )
 
 
 def write_manifest(path, samples: list[Sample]) -> None:
@@ -235,7 +253,7 @@ def eye_boxes(sample: Sample, mode: str, eye: str = "both") -> tuple:
         return tuple(box if w else None for box, w in zip(boxes, wanted))
     lm = sample.landmarks
     if lm is None:
-        raise ValueError(f"{sample.image_path}: ert mode needs eye-corner landmarks")
+        raise ValueError("ert mode needs eye-corner landmarks")
     corners = ((lm.left_inner, lm.left_outer), (lm.right_inner, lm.right_outer))
     return tuple(
         preprocess.landmark_eye_crop(*c) if w else None for c, w in zip(corners, wanted)
@@ -279,7 +297,11 @@ def make_eye_pairs(
         img = preprocess.read_pnm(os.path.join(image_root, sample.image_path))
         gray = preprocess.to_grayscale(img)
         label = int(sample.eac) if labels is None else int(labels[i])
-        for patches, pixels in zip(out, eye_pair(gray, sample, mode, hw, eye)):
+        try:
+            pair = eye_pair(gray, sample, mode, hw, eye)
+        except ValueError as exc:
+            raise ValueError(f"{sample.image_path}: {exc}") from None
+        for patches, pixels in zip(out, pair):
             if pixels is not None:
                 patches.append(EyePatch(pixels, label, split))
     return out

@@ -33,21 +33,12 @@ def predict_class(score: np.ndarray) -> int:
 class ConfusionMatrix:
     """C x C counts, rows = true class, columns = predicted."""
 
-    def __init__(self, n_classes: int, counts: np.ndarray | None = None):
-        if counts is None:
-            counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-        if counts.shape != (n_classes, n_classes):
-            raise ValueError("counts must be C x C")
+    def __init__(self, n_classes: int):
         self.n_classes = n_classes
-        self.counts = counts
+        self.counts = np.zeros((n_classes, n_classes), dtype=np.int64)
 
     def add(self, true_class: int, predicted: int) -> None:
         self.counts[true_class, predicted] += 1
-
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.n_classes != self.n_classes:
-            raise ValueError("class count mismatch")
-        return ConfusionMatrix(self.n_classes, self.counts + other.counts)
 
     @property
     def total(self) -> int:

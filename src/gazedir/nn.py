@@ -24,11 +24,6 @@ KERNEL_SIZES = (7, 5, 3)
 MODEL_MAGIC = b"GDN1"
 MODEL_FORMAT_VERSION = 1
 
-# u8 tags in the model file, one per layer kind
-_KIND_TAGS = {"Conv2D": 0, "ReLU": 1, "MaxPool2": 2, "Dense": 3, "SoftmaxCE": 4}
-_TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
-
-
 # --------------------------------------------------------------------------
 # batched kernels
 # --------------------------------------------------------------------------
@@ -193,9 +188,20 @@ class Conv2D:
         return [self.grad_weights, self.grad_bias]
 
 
-class ReLU:
-    kind = "ReLU"
+class _NoParams:
+    """Base of the layers without parameters."""
+
     n_params = 0
+
+    def params(self):
+        return []
+
+    def grads(self):
+        return []
+
+
+class ReLU(_NoParams):
+    kind = "ReLU"
 
     def __init__(self):
         self._input = None
@@ -213,14 +219,8 @@ class ReLU:
         _check_upstream(self, upstream, None if self._input is None else self._input.shape)
         return upstream * (self._input > 0)
 
-    def params(self):
-        return []
 
-    def grads(self):
-        return []
-
-
-class MaxPool2:
+class MaxPool2(_NoParams):
     """Non-overlapping 2x2 max pool; a trailing odd row/column is dropped.
 
     Within a window the first maximum in row-major order wins, and backward
@@ -229,7 +229,6 @@ class MaxPool2:
     """
 
     kind = "MaxPool2"
-    n_params = 0
 
     def __init__(self):
         self._winner = None
@@ -264,12 +263,6 @@ class MaxPool2:
         cj = 2 * np.arange(wo)[None, None, None, :] + v
         grad[bi, ci, ri, cj] = upstream
         return grad
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
 
 
 class Dense:
@@ -319,11 +312,10 @@ class Dense:
         return [self.grad_weights, self.grad_bias]
 
 
-class SoftmaxCE:
+class SoftmaxCE(_NoParams):
     """Terminal layer: softmax at inference, softmax+CE loss in training."""
 
     kind = "SoftmaxCE"
-    n_params = 0
 
     def output_shape(self, shape: tuple) -> tuple:
         if len(shape) != 1:
@@ -333,14 +325,9 @@ class SoftmaxCE:
     def forward(self, logits, cache=False):
         return _softmax_rows(logits)
 
-    def params(self):
-        return []
 
-    def grads(self):
-        return []
-
-
-_LAYER_CLASSES = {cls.kind: cls for cls in (Conv2D, ReLU, MaxPool2, Dense, SoftmaxCE)}
+# a layer class's index here is its u8 tag in the model file
+_LAYER_CLASSES = (Conv2D, ReLU, MaxPool2, Dense, SoftmaxCE)
 
 
 # --------------------------------------------------------------------------
@@ -581,7 +568,7 @@ def save_model(model: Model, path) -> None:
     """Binary model file: magic GDN1, version, layer kinds + f32 parameters."""
     chunks = [MODEL_MAGIC, struct.pack("<II", MODEL_FORMAT_VERSION, len(model.layers))]
     for layer in model.layers:
-        chunks.append(struct.pack("<B", _KIND_TAGS[layer.kind]))
+        chunks.append(struct.pack("<B", _LAYER_CLASSES.index(type(layer))))
         for param in layer.params():
             chunks.append(struct.pack("<I", param.ndim))
             chunks.append(struct.pack(f"<{param.ndim}I", *param.shape))
@@ -617,9 +604,9 @@ def _parse_model(buf: bytes) -> Model:
     for _ in range(n_layers):
         (tag,) = struct.unpack_from("<B", buf, pos)
         pos += 1
-        if tag not in _TAG_KINDS:
+        if tag >= len(_LAYER_CLASSES):
             raise ValueError(f"unknown layer tag {tag}")
-        cls = _LAYER_CLASSES[_TAG_KINDS[tag]]
+        cls = _LAYER_CLASSES[tag]
         params = []
         for _ in range(cls.n_params):
             (rank,) = struct.unpack_from("<I", buf, pos)

@@ -46,6 +46,8 @@ class EyeLandmarks:
 
 def _round_px(v: float) -> int:
     """Round to nearest pixel, halves away from the origin-side."""
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite pixel coordinate {v}")
     return int(math.floor(v + 0.5))
 
 
@@ -145,6 +147,27 @@ def to_grayscale(img: np.ndarray) -> np.ndarray:
     raise ValueError(f"unsupported channel layout for shape {img.shape}")
 
 
+def bilinear_sample(src: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Bilinear taps of a 2-D image at coordinates the caller has clamped to
+    [0, w-1] x [0, h-1]; xs and ys broadcast to the output shape. Returns
+    float64.
+    """
+    h, w = src.shape
+    src = src.astype(np.float64, copy=False)
+    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(int)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xs - x0
+    fy = ys - y0
+    v00 = src[y0, x0]
+    v10 = src[y1, x0]
+    # lerp form keeps constant inputs exactly constant
+    top = v00 + (src[y0, x1] - v00) * fx
+    bottom = v10 + (src[y1, x1] - v10) * fx
+    return top + (bottom - top) * fy
+
+
 def resize_bilinear(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     """Bilinear resample with half-pixel-center sampling and edge clamping.
 
@@ -153,27 +176,12 @@ def resize_bilinear(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     """
     if out_w < 1 or out_h < 1:
         raise ValueError(f"empty resize target {out_w}x{out_h}")
-    if img.ndim == 3:
-        planes = [resize_bilinear(img[..., c], out_w, out_h) for c in range(img.shape[2])]
-        return np.stack(planes, axis=-1)
+    if img.ndim != 2:
+        raise ValueError(f"resize_bilinear expects a single-channel image, got shape {img.shape}")
     h, w = img.shape
-    src = img.astype(np.float64, copy=False)
     xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
     ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
-    x0 = np.floor(xs).astype(int)
-    y0 = np.floor(ys).astype(int)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = xs - x0
-    fy = (ys - y0)[:, None]
-    v00 = src[y0[:, None], x0[None, :]]
-    v01 = src[y0[:, None], x1[None, :]]
-    v10 = src[y1[:, None], x0[None, :]]
-    v11 = src[y1[:, None], x1[None, :]]
-    # lerp form keeps constant inputs exactly constant
-    top = v00 + (v01 - v00) * fx
-    bottom = v10 + (v11 - v10) * fx
-    return (top + (bottom - top) * fy).astype(np.float32)
+    return bilinear_sample(img, xs[None, :], ys[:, None]).astype(np.float32)
 
 
 def geometric_eye_rois(

@@ -506,6 +506,13 @@ def _single_error_line(err):
     return lines[0]
 
 
+HEADER = ",".join(dataset.MANIFEST_COLUMNS)
+GOOD_FACE = "10,10,100,100"
+GOOD_LANDMARKS = "27,45,49,45,71,45,93,45"
+# finite, but the eye-corner distance overflows to inf
+HUGE_LANDMARKS = "1e308,45,-1e308,45,71,45,93,45"
+
+
 class TestRuntimeFailures:
     def test_non_finite_scores_exit_1(self, trained, corpus, tmp_path, capsys):
         models = _copy_models(trained, tmp_path / "models")
@@ -552,3 +559,59 @@ class TestRuntimeFailures:
         assert _predict_ert(corpus, models) == 1
         line = _single_error_line(capsys.readouterr().err)
         assert cli.MODEL_LEFT in line and "truncated" in line
+
+    def test_huge_landmarks_predict_exit_1(self, trained, corpus, capsys):
+        code = run([
+            "predict", "--image", str(corpus / "vd_000.pgm"),
+            "--face", GOOD_FACE, "--landmarks", HUGE_LANDMARKS,
+            "--model-dir", str(trained / "models"), "--mode", "ert",
+        ])
+        assert code == 1
+        assert "non-finite" in _single_error_line(capsys.readouterr().err)
+
+    def test_huge_landmarks_train_exit_1(self, corpus, tmp_path, capsys):
+        rows = [f"vd_00{i}.pgm,VD,{GOOD_FACE},{HUGE_LANDMARKS},s00{i}" for i in (0, 1)]
+        manifest = tmp_path / "huge.csv"
+        manifest.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+        code = run([
+            "train", "--manifest", str(manifest), "--image-root", str(corpus),
+            "--model-dir", str(tmp_path / "models"), "--mode", "ert", "--epochs", "1",
+        ])
+        assert code == 1
+        line = _single_error_line(capsys.readouterr().err)
+        assert re.search(r"vd_00[01]\.pgm: non-finite", line), line
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("face", "10,10,100"),
+    ("face", "10,ten,100,100"),
+    ("face", "10,10,0,100"),
+    ("face", "10,10,inf,100"),
+    pytest.param("face", f"10,10,{10**400},100", id="face-401-digit-width"),
+    ("landmarks", "27,45,49,45,71,45,93"),
+    ("landmarks", "27,45,abc,45,71,45,93,45"),
+    ("landmarks", "27,45,49,45,71,45,inf,45"),
+])
+def test_manifest_row_and_predict_flags_reject_alike(
+    trained, corpus, tmp_path, capsys, flag, text
+):
+    """One parser reads face boxes and eye corners from both sources."""
+    face, landmarks = (text, GOOD_LANDMARKS) if flag == "face" else (GOOD_FACE, text)
+    manifest = tmp_path / "bad.csv"
+    manifest.write_text(
+        f"{HEADER}\nvd_000.pgm,VD,{GOOD_FACE},{GOOD_LANDMARKS},s000\n"
+        f"vd_001.pgm,VD,{face},{landmarks},s001\n"
+    )
+    code = run([
+        "train", "--manifest", str(manifest), "--image-root", str(corpus),
+        "--model-dir", str(tmp_path / "models"), "--mode", "ert", "--epochs", "1",
+    ])
+    assert code == 1
+    assert "line 3" in _single_error_line(capsys.readouterr().err)
+    code = run([
+        "predict", "--image", str(corpus / "vd_001.pgm"),
+        "--face", face, "--landmarks", landmarks,
+        "--model-dir", str(trained / "models"), "--mode", "ert",
+    ])
+    assert code == 1
+    _single_error_line(capsys.readouterr().err)

@@ -97,6 +97,16 @@ class TestLoadManifest:
         with pytest.raises(ManifestError):
             dataset.load_manifest(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_landmarks_name_the_row(self, tmp_path, token):
+        path = write_manifest_text(
+            tmp_path,
+            HEADER + "\nok.pgm,VD,0,0,10,10,1,2,3,2,6,2,8,2,\n"
+            f"bad.pgm,VD,0,0,10,10,1,2,3,2,6,2,{token},2,\n",
+        )
+        with pytest.raises(ManifestError, match="line 3: non-finite landmark"):
+            dataset.load_manifest(path)
+
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             dataset.load_manifest(tmp_path / "absent.csv")
@@ -265,6 +275,12 @@ class TestMakeEyeSamples:
         bare = [Sample("vd_000.pgm", synth.FACE, EacClass.VD)]
         with pytest.raises(ValueError, match="landmark"):
             eye_tensors(bare, "left", "ert", image_root=root)
+
+    def test_crop_error_names_the_image(self, corpus):
+        root, _ = corpus
+        off_image = Sample("vd_000.pgm", Box(500, 500, 100, 100), EacClass.VD)
+        with pytest.raises(ValueError, match=r"^vd_000\.pgm: crop box .* lies outside"):
+            dataset.make_eye_pairs([off_image], "roi", image_root=root)
 
     def test_full_path_determinism(self, corpus):
         root, samples = corpus

@@ -107,13 +107,6 @@ class TestConfusionMatrix:
         per = cm.per_class_accuracy
         assert per[0] == 1.0 and np.isnan(per[1]) and np.isnan(per[2])
 
-    def test_summation_merge(self):
-        a, b = ConfusionMatrix(2), ConfusionMatrix(2)
-        a.add(0, 0)
-        b.add(1, 0)
-        merged = a + b
-        npt.assert_array_equal(merged.counts, [[1, 0], [1, 0]])
-
 
 def triples_for(labels, n_classes, score_of):
     """(left, right, label) triples whose tensors encode the row index."""

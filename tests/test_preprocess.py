@@ -1,12 +1,14 @@
 """Codec, grayscale, resize, eye-box geometry, crop, and normalization."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gazedir import preprocess
+from gazedir import augment, preprocess
 from gazedir.preprocess import Box
 
 
@@ -153,12 +155,93 @@ class TestResizeBilinear:
         with pytest.raises(ValueError):
             preprocess.resize_bilinear(np.zeros((2, 2)), 0, 1)
 
-    def test_three_channel(self):
+    def test_three_channel_rejected(self):
         img = np.dstack([np.full((2, 2), v, dtype=np.uint8) for v in (10, 20, 30)])
-        out = preprocess.resize_bilinear(img, 4, 4)
-        assert out.shape == (4, 4, 3)
-        for c, v in enumerate((10, 20, 30)):
-            npt.assert_array_equal(out[..., c], np.full((4, 4), float(v), dtype=np.float32))
+        with pytest.raises(ValueError, match=r"single-channel image, got shape \(2, 2, 3\)"):
+            preprocess.resize_bilinear(img, 4, 4)
+
+
+def reference_resize_bilinear(img, out_w, out_h):
+    """The two-tap-per-row resize that preceded preprocess.bilinear_sample."""
+    h, w = img.shape
+    src = img.astype(np.float64, copy=False)
+    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
+    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
+    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(int)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xs - x0
+    fy = (ys - y0)[:, None]
+    v00 = src[y0[:, None], x0[None, :]]
+    v01 = src[y0[:, None], x1[None, :]]
+    v10 = src[y1[:, None], x0[None, :]]
+    v11 = src[y1[:, None], x1[None, :]]
+    top = v00 + (v01 - v00) * fx
+    bottom = v10 + (v11 - v10) * fx
+    return (top + (bottom - top) * fy).astype(np.float32)
+
+
+def reference_rotate(img, degrees):
+    """The inverse-mapped rotation that preceded preprocess.bilinear_sample."""
+    if degrees == 0:
+        return img.copy()
+    h, w = img.shape
+    src = img.astype(np.float64, copy=False)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    rad = math.radians(degrees)
+    cos_t, sin_t = math.cos(rad), math.sin(rad)
+    u = np.arange(w) - cx
+    v = (np.arange(h) - cy)[:, None]
+    xs = np.clip(cx + u * cos_t - v * sin_t, 0, w - 1)
+    ys = np.clip(cy + u * sin_t + v * cos_t, 0, h - 1)
+    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(int)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xs - x0
+    fy = ys - y0
+    top = src[y0, x0] + (src[y0, x1] - src[y0, x0]) * fx
+    bottom = src[y1, x0] + (src[y1, x1] - src[y1, x0]) * fx
+    return augment._restore_dtype(top + (bottom - top) * fy, img)
+
+
+def random_image(seed, h, w, dtype):
+    rng = np.random.default_rng(seed)
+    if dtype == np.uint8:
+        return rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+    return (rng.normal(size=(h, w)) * 100).astype(dtype)
+
+
+class TestBilinearSampler:
+    """resize_bilinear and augment.rotate share one sampler; both stay
+    byte-equal to the implementations that preceded it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        h=st.integers(1, 40), w=st.integers(1, 40),
+        out_h=st.integers(1, 60), out_w=st.integers(1, 60),
+        dtype=st.sampled_from([np.uint8, np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_resize_matches_reference(self, h, w, out_h, out_w, dtype, seed):
+        img = random_image(seed, h, w, dtype)
+        out = preprocess.resize_bilinear(img, out_w, out_h)
+        ref = reference_resize_bilinear(img, out_w, out_h)
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        h=st.integers(1, 40), w=st.integers(1, 40),
+        degrees=st.floats(allow_nan=False, allow_infinity=False),
+        dtype=st.sampled_from([np.uint8, np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rotate_matches_reference(self, h, w, degrees, dtype, seed):
+        img = random_image(seed, h, w, dtype)
+        out = augment.rotate(img, degrees)
+        ref = reference_rotate(img, degrees)
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
 
 
 class TestGeometricEyeRois:
