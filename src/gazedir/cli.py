@@ -91,10 +91,11 @@ def cmd_train(args) -> int:
     h, w = cfg.patch_hw
     os.makedirs(cfg.model_dir, exist_ok=True)
 
-    losses: list[list[float]] = []  # per side, per epoch
-    for seed_offset, (side, filename, patches) in enumerate(zip(
-        dataset.SIDES, (MODEL_LEFT, MODEL_RIGHT), _eye_pairs(cfg, train, "train")
-    )):
+    # both sides train before anything is written, so a failed run leaves
+    # the previous model pair and log as they were
+    models, losses = [], []  # per side; losses per epoch
+    pairs = _eye_pairs(cfg, train, "train")
+    for seed_offset, (side, patches) in enumerate(zip(dataset.SIDES, pairs)):
         tensors = dataset.patches_to_tensors(augment.expand(patches, cfg.policy))
         xs = [t for t, _ in tensors]
         ys = [y for _, y in tensors]
@@ -107,7 +108,9 @@ def cmd_train(args) -> int:
             )
             side_losses.append(loss)
             print(f"[{side}] epoch {epoch + 1}/{cfg.epochs} mean loss {loss:.6f}")
+        models.append(model)
         losses.append(side_losses)
+    for model, filename in zip(models, (MODEL_LEFT, MODEL_RIGHT)):
         nn.save_model(model, os.path.join(cfg.model_dir, filename))
 
     log_path = os.path.join(cfg.model_dir, "train_log.csv")
@@ -172,10 +175,9 @@ def cmd_predict(args) -> int:
     face = dataset.parse_face(args.face.split(","))
     landmarks = dataset.parse_landmarks(args.landmarks.split(",")) if args.landmarks else None
     sample = dataset.Sample(args.image, face, EacClass.VD, landmarks)
-    gray = preprocess.to_grayscale(preprocess.read_pnm(args.image))
+    pairs = dataset.make_eye_pairs([sample], cfg.mode, cfg.patch_hw, split="test", eye=eye)
     model_left, model_right = _load_models(cfg, cfg.model_dir, eye)
-    patches = dataset.eye_pair(gray, sample, cfg.mode, cfg.patch_hw, eye)
-    xs = [None if p is None else preprocess.normalize(p) for p in patches]
+    xs = [preprocess.normalize(p[0].pixels) if p else None for p in pairs]
     score = fusion.score_pair(model_left, model_right, *xs, eye)
     label = fusion.predict_class(score)
     out = {
@@ -200,20 +202,15 @@ def cmd_bench(args) -> int:
     for i in range(args.frames):
         eac = EacClass(i % 7)
         frames.append((synth.render_face(rng, eac), synth.FACE, landmarks))
-    report = fusion.bench_latency(
-        model_left, model_right, frames, args.warmup, mode=cfg.mode, patch_hw=(h, w)
-    )
-    print(f"{report.n_frames} frames after {report.warmup} warmup, patch {h}x{w}")
+    report = fusion.bench_latency(model_left, model_right, frames, args.warmup, cfg.mode, (h, w))
+    print(f"{report['n_frames']} frames after {report['warmup']} warmup, patch {h}x{w}")
     print(f"{'stage':<14}{'mean ms':>10}{'p50 ms':>10}{'p95 ms':>10}")
-    for name in fusion.BENCH_STAGES:
-        s = report.stages[name]
-        print(f"{name:<14}{s.mean_ms:>10.3f}{s.p50_ms:>10.3f}{s.p95_ms:>10.3f}")
-    e = report.end_to_end
-    print(f"{'end_to_end':<14}{e.mean_ms:>10.3f}{e.p50_ms:>10.3f}{e.p95_ms:>10.3f}")
-    print(f"fps {report.fps:.1f}")
+    for name, s in (*report["stages"].items(), ("end_to_end", report["end_to_end"])):
+        print(f"{name:<14}{s['mean_ms']:>10.3f}{s['p50_ms']:>10.3f}{s['p95_ms']:>10.3f}")
+    print(f"fps {report['fps']:.1f}")
     os.makedirs(cfg.report_dir, exist_ok=True)
     bench_path = os.path.join(cfg.report_dir, "bench.json")
-    fusion.dump_json({**report.as_dict(), **_report_meta(cfg)}, bench_path)
+    fusion.dump_json({**fusion.round_sig(report), **_report_meta(cfg)}, bench_path)
     print(f"wrote {bench_path}")
     return 0
 

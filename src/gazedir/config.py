@@ -182,13 +182,13 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Defaults, then config file values, then CLI overrides; validates all."""
     cfg = RunConfig()
     if path is not None:
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"config file {path} not found")
-        parser = configparser.ConfigParser(interpolation=None)
-        try:
-            parser.read(path, encoding="utf-8")
-        except configparser.Error as exc:
-            raise ConfigError(f"{path}: {exc}")
+        # no section name is the default one: [DEFAULT] is an unknown section
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
+        with open(path, encoding="utf-8") as f:
+            try:
+                parser.read_file(f)
+            except configparser.Error as exc:
+                raise ConfigError(f"{path}: {exc}")
         _apply_file(cfg, parser, path)
     if overrides:
         valid = {f.name for f in fields(RunConfig)}

@@ -221,11 +221,8 @@ def split_subject_disjoint(samples: list[Sample], seed: int) -> SplitPair:
     return SplitPair(train=train, test=test)
 
 
-def to_three_class(
-    sample: Sample, mapping: dict[EacClass, ThreeClass | None] | None = None
-) -> ThreeClass | None:
+def to_three_class(sample: Sample, mapping: dict[EacClass, ThreeClass | None]) -> ThreeClass | None:
     """Maps the 7-class label into {left, center, right}; None when excluded."""
-    mapping = DEFAULT_THREE_CLASS_MAP if mapping is None else mapping
     missing = [c.name for c in EacClass if c not in mapping]
     if missing:
         raise ValueError(f"3-class mapping missing entries for: {', '.join(missing)}")
@@ -243,7 +240,7 @@ def default_patch_hw(mode: str) -> tuple[int, int]:
 SIDES = ("left", "right")
 
 
-def eye_boxes(sample: Sample, mode: str, eye: str = "both") -> tuple:
+def eye_boxes(sample: Sample, mode: str, eye: str) -> tuple:
     """(image-left, image-right) eye boxes: ROI geometry cut from the face box
     in roi mode, framed by the eye-corner landmarks in ert mode. An eye that
     `eye` does not select gets None; its box is not computed."""

@@ -67,7 +67,7 @@ class EvalResult:
     confusion: ConfusionMatrix
 
 
-def score_pair(model_left, model_right, x_left, x_right, eye: str = "both") -> np.ndarray:
+def score_pair(model_left, model_right, x_left, x_right, eye: str) -> np.ndarray:
     """Scores one eye pair: one network's softmax for eye "left" or "right",
     the fused mean of both for "both"; an unused eye's tensor may be None."""
     if eye == "left":
@@ -106,34 +106,6 @@ def evaluate(model_left, model_right, samples, eye: str = "both") -> EvalResult:
 BENCH_STAGES = ("crop_resize", "normalize", "forward_left", "forward_right", "fuse")
 
 
-@dataclass
-class StageStats:
-    mean_ms: float
-    p50_ms: float
-    p95_ms: float
-
-
-@dataclass
-class LatencyReport:
-    stages: dict[str, StageStats]
-    end_to_end: StageStats
-    fps: float
-    n_frames: int
-    warmup: int
-
-    def as_dict(self) -> dict:
-        def stats(s: StageStats) -> dict:
-            return {k: round_sig(v) for k, v in vars(s).items()}
-
-        return {
-            "stages": {name: stats(s) for name, s in self.stages.items()},
-            "end_to_end": stats(self.end_to_end),
-            "fps": round_sig(self.fps),
-            "n_frames": self.n_frames,
-            "warmup": self.warmup,
-        }
-
-
 def _run_stages(model_left, model_right, frame, mode, patch_hw, timings):
     """One frame through crop+resize / normalize / two forwards / fuse."""
     gray, face, landmarks = frame
@@ -158,57 +130,57 @@ def _run_stages(model_left, model_right, frame, mode, patch_hw, timings):
         timings["end_to_end"].append((t5 - t0) * 1000.0)
 
 
-def bench_latency(
-    model_left,
-    model_right,
-    frames,
-    warmup: int,
-    mode: str = "roi",
-    patch_hw: tuple[int, int] | None = None,
-) -> LatencyReport:
-    """Wall-clock per-stage timings over all frames, after warmup iterations.
+def bench_latency(model_left, model_right, frames, warmup: int, mode: str, patch_hw) -> dict:
+    """Wall-clock per-stage timings in ms over all frames, after warmup iterations.
 
     Strictly single-threaded. Every supplied frame contributes exactly one
-    timing; warmup passes cycle over the same frames untimed.
+    timing; warmup passes cycle over the same frames untimed. Returns
+    {"stages": {name: stats}, "end_to_end": stats, "fps", "n_frames", "warmup"}
+    with stats {"mean_ms", "p50_ms", "p95_ms"}.
     """
     if len(frames) == 0:
         raise ValueError("need at least one frame to benchmark")
-    hw = dataset.default_patch_hw(mode) if patch_hw is None else patch_hw
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
     for i in range(warmup):
-        _run_stages(model_left, model_right, frames[i % len(frames)], mode, hw, None)
+        _run_stages(model_left, model_right, frames[i % len(frames)], mode, patch_hw, None)
     timings: dict[str, list[float]] = {name: [] for name in (*BENCH_STAGES, "end_to_end")}
     for frame in frames:
-        _run_stages(model_left, model_right, frame, mode, hw, timings)
+        _run_stages(model_left, model_right, frame, mode, patch_hw, timings)
 
-    def stats(values: list[float]) -> StageStats:
+    def stats(values: list[float]) -> dict:
         arr = np.asarray(values)
-        return StageStats(
-            mean_ms=float(arr.mean()),
-            p50_ms=float(np.percentile(arr, 50)),
-            p95_ms=float(np.percentile(arr, 95)),
-        )
+        return {
+            "mean_ms": float(arr.mean()),
+            "p50_ms": float(np.percentile(arr, 50)),
+            "p95_ms": float(np.percentile(arr, 95)),
+        }
 
-    stages = {name: stats(timings[name]) for name in BENCH_STAGES}
     end_to_end = stats(timings["end_to_end"])
-    return LatencyReport(
-        stages=stages,
-        end_to_end=end_to_end,
-        fps=1000.0 / end_to_end.mean_ms,
-        n_frames=len(frames),
-        warmup=warmup,
-    )
+    return {
+        "stages": {name: stats(timings[name]) for name in BENCH_STAGES},
+        "end_to_end": end_to_end,
+        "fps": 1000.0 / end_to_end["mean_ms"],
+        "n_frames": len(frames),
+        "warmup": warmup,
+    }
 
 
 # --------------------------------------------------------------------------
 # report files
 # --------------------------------------------------------------------------
 
-def round_sig(x: float, digits: int = 6):
+def round_sig(x):
     """Measured floats in reports carry 6 significant digits (the config echo
-    keeps full precision, so it reproduces the run); NaN becomes None."""
+    keeps full precision, so it reproduces the run); NaN becomes None. A dict
+    is rounded value by value; ints pass through."""
+    if isinstance(x, dict):
+        return {k: round_sig(v) for k, v in x.items()}
+    if isinstance(x, int):
+        return x
     if math.isnan(x):
         return None
-    return float(f"{x:.{digits}g}")
+    return float(f"{x:.6g}")
 
 
 def dump_json(payload: dict, path) -> None:

@@ -18,10 +18,10 @@ ERT_PATCH_HW = (15, 25)
 
 # eye ROI as fractions of the face box: x offsets for the image-left and
 # image-right eye, shared y offset, and the box extents
-DEFAULT_ROI_FRACTIONS = (0.12, 0.56, 0.22, 0.32, 0.26)
+ROI_FRACTIONS = (0.12, 0.56, 0.22, 0.32, 0.26)
 
 # landmark crop extents as multiples of the eye-corner distance (w, h)
-DEFAULT_LANDMARK_MARGINS = (1.5, 0.9)
+LANDMARK_MARGINS = (1.5, 0.9)
 
 
 @dataclass(frozen=True)
@@ -184,17 +184,15 @@ def resize_bilinear(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     return bilinear_sample(img, xs[None, :], ys[:, None]).astype(np.float32)
 
 
-def geometric_eye_rois(
-    face: Box, fractions: tuple[float, float, float, float, float] = DEFAULT_ROI_FRACTIONS
-) -> tuple[Box, Box]:
-    """Eye boxes cut from the face box at fixed fractional offsets.
+def geometric_eye_rois(face: Box) -> tuple[Box, Box]:
+    """Eye boxes cut from the face box at the fixed ROI_FRACTIONS.
 
     Returns (image-left eye, image-right eye). Affine in the face box, so the
     result is translation- and scale-equivariant.
     """
     if face.w <= 0 or face.h <= 0:
         raise ValueError(f"degenerate face box {face}")
-    left_fx, right_fx, top_f, w_f, h_f = fractions
+    left_fx, right_fx, top_f, w_f, h_f = ROI_FRACTIONS
     w = _round_px(w_f * face.w)
     h = _round_px(h_f * face.h)
     y = _round_px(face.y + top_f * face.h)
@@ -203,17 +201,14 @@ def geometric_eye_rois(
     return left, right
 
 
-def landmark_eye_crop(
-    inner: tuple[float, float],
-    outer: tuple[float, float],
-    margins: tuple[float, float] = DEFAULT_LANDMARK_MARGINS,
-) -> Box:
-    """Axis-aligned box around the eye-corner midpoint, sized by corner distance."""
+def landmark_eye_crop(inner: tuple[float, float], outer: tuple[float, float]) -> Box:
+    """Axis-aligned box around the eye-corner midpoint, sized by corner
+    distance times LANDMARK_MARGINS."""
     dx, dy = outer[0] - inner[0], outer[1] - inner[1]
     d = math.hypot(dx, dy)
     if d == 0:
         raise ValueError("coincident eye corners")
-    w_factor, h_factor = margins
+    w_factor, h_factor = LANDMARK_MARGINS
     cx = (inner[0] + outer[0]) / 2
     cy = (inner[1] + outer[1]) / 2
     return Box(

@@ -169,16 +169,16 @@ class TestAcceptance:
             (synth.render_face(rng, dataset.EacClass(i % 7)), synth.FACE, lms)
             for i in range(100)
         ]
-        report = fusion.bench_latency(ml, mr, frames, warmup=10, mode="roi")
+        report = fusion.bench_latency(ml, mr, frames, 10, "roi", (42, 50))
         inference_ms = (
-            report.stages["forward_left"].mean_ms
-            + report.stages["forward_right"].mean_ms
-            + report.stages["fuse"].mean_ms
+            report["stages"]["forward_left"]["mean_ms"]
+            + report["stages"]["forward_right"]["mean_ms"]
+            + report["stages"]["fuse"]["mean_ms"]
         )
-        assert report.n_frames == 100
+        assert report["n_frames"] == 100
         assert inference_ms <= 42.0, f"{inference_ms:.2f} ms"
         conclude(7, f"latency (two 42x50 forwards + fusion: {inference_ms:.2f} ms "
-                    f"<= 42 ms; end-to-end {report.end_to_end.mean_ms:.2f} ms)")
+                    f"<= 42 ms; end-to-end {report['end_to_end']['mean_ms']:.2f} ms)")
 
     def test_criterion_8_determinism_and_serialization(self, tmp_path):
         out = tmp_path / "det"

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,22 @@ class TestConfig:
         path.write_text("[data]\npatch_h = 0\n")
         with pytest.raises(ConfigError, match="0x25 too small"):
             load_config(path)
+
+    def test_config_directory_is_io_error(self, tmp_path, capsys):
+        assert run(["train", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1 and err.startswith("i/o error:"), err
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nmode = roi\n",
+        "[data]\nmode = roi\n[DEFAULT]\nseed = 3\n",
+    ], ids=["alone", "beside-data"])
+    def test_default_section_rejected(self, tmp_path, capsys, text):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        assert run(["train", "--config", str(ini)]) == 1
+        assert "unknown section [DEFAULT]" in _single_error_line(capsys.readouterr().err)
 
     def test_readme_ini_example_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -465,6 +482,30 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert "fps" in out and "end_to_end" in out
 
+    def test_negative_warmup_exit_1(self, tmp_path, capsys):
+        code = run([
+            "bench", "--frames", "2", "--warmup", "-4",
+            "--report-dir", str(tmp_path), "--mode", "ert",
+        ])
+        assert code == 1
+        assert "warmup" in _single_error_line(capsys.readouterr().err)
+        assert not (tmp_path / "bench.json").exists()
+
+    def test_trained_models(self, trained, tmp_path, capsys, monkeypatch):
+        loaded = []
+        load_model = nn.load_model
+        monkeypatch.setattr(nn, "load_model", lambda path: loaded.append(path) or load_model(path))
+        args = [
+            "bench", "--frames", "3", "--warmup", "1",
+            "--model-dir", str(trained / "models"), "--report-dir", str(tmp_path),
+        ]
+        assert run([*args, "--mode", "ert"]) == 0
+        assert [os.path.basename(p) for p in loaded] == [cli.MODEL_LEFT, cli.MODEL_RIGHT]
+        assert json.loads((tmp_path / "bench.json").read_text())["n_frames"] == 3
+        # the ert-trained models take 15x25 patches, roi mode makes 42x50
+        assert run([*args, "--mode", "roi"]) == 1
+        assert "does not match" in _single_error_line(capsys.readouterr().err)
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
@@ -559,6 +600,48 @@ class TestRuntimeFailures:
         assert _predict_ert(corpus, models) == 1
         line = _single_error_line(capsys.readouterr().err)
         assert cli.MODEL_LEFT in line and "truncated" in line
+
+    def test_model_file_with_trailing_bytes_exit_1(self, trained, corpus, tmp_path, capsys):
+        models = _copy_models(trained, tmp_path / "models")
+        with open(models / cli.MODEL_RIGHT, "ab") as f:
+            f.write(b"\0")
+        assert _predict_ert(corpus, models) == 1
+        line = _single_error_line(capsys.readouterr().err)
+        assert cli.MODEL_RIGHT in line and "trailing bytes" in line
+
+    def test_zero_width_image_exit_1(self, trained, tmp_path, capsys):
+        image = tmp_path / "empty.pgm"
+        image.write_bytes(b"P5\n0 120\n255\n")
+        code = run([
+            "predict", "--image", str(image), "--face", GOOD_FACE, "--landmarks", GOOD_LANDMARKS,
+            "--model-dir", str(trained / "models"), "--mode", "ert",
+        ])
+        assert code == 1
+        line = _single_error_line(capsys.readouterr().err)
+        assert "empty.pgm" in line and "bad dimensions" in line
+
+    def test_failed_side_writes_no_model(self, trained, corpus, tmp_path, capsys, monkeypatch):
+        """A run that fails on the right eye leaves the previous pair and log as they were."""
+        models = tmp_path / "models"
+        shutil.copytree(trained / "models", models)
+        before = {p.name: p.read_bytes() for p in models.iterdir()}
+        train_epoch = nn.train_epoch
+        calls = []
+
+        def right_side_diverges(model, *args, **kwargs):
+            calls.append(model)
+            if len(calls) > 1:  # one epoch per side: the second call trains the right eye
+                raise FloatingPointError("training loss diverged (non-finite)")
+            return train_epoch(model, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "train_epoch", right_side_diverges)
+        code = run([
+            "train", "--manifest", str(corpus / "manifest.csv"), "--model-dir", str(models),
+            "--mode", "ert", "--epochs", "1", "--seed", "2",
+        ])
+        assert code == 1
+        assert "diverged" in _single_error_line(capsys.readouterr().err)
+        assert {p.name: p.read_bytes() for p in models.iterdir()} == before
 
     def test_huge_landmarks_predict_exit_1(self, trained, corpus, capsys):
         code = run([

@@ -208,7 +208,7 @@ class TestThreeClassMapping:
         }
         for eac in EacClass:
             s = Sample("x.pgm", Box(0, 0, 1, 1), eac)
-            assert dataset.to_three_class(s) == expect.get(eac)
+            assert dataset.to_three_class(s, DEFAULT_THREE_CLASS_MAP) == expect.get(eac)
 
     def test_missing_entry_rejected(self):
         broken = dict(DEFAULT_THREE_CLASS_MAP)
@@ -219,7 +219,8 @@ class TestThreeClassMapping:
 
     def test_filtered_subset_size(self):
         samples = [Sample("x.pgm", Box(0, 0, 1, 1), eac) for eac in EacClass] * 3
-        kept = [s for s in samples if dataset.to_three_class(s) is not None]
+        kept = [s for s in samples
+                if dataset.to_three_class(s, DEFAULT_THREE_CLASS_MAP) is not None]
         assert len(kept) == 9  # AR/VD/AC only
         assert len(kept) <= len(samples)
 

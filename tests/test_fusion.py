@@ -236,19 +236,19 @@ class TestBenchLatency:
 
         ml = nn.build_gaze_net(15, 25, 7, seed=0)
         mr = nn.build_gaze_net(15, 25, 7, seed=1)
-        report = fusion.bench_latency(ml, mr, bench_frames(12), warmup=3, mode="ert")
-        assert report.n_frames == 12 and report.warmup == 3
-        assert set(report.stages) == set(fusion.BENCH_STAGES)
-        npt.assert_allclose(report.fps, 1000.0 / report.end_to_end.mean_ms, rtol=1e-9)
+        report = fusion.bench_latency(ml, mr, bench_frames(12), 3, "ert", (15, 25))
+        assert report["n_frames"] == 12 and report["warmup"] == 3
+        assert set(report["stages"]) == set(fusion.BENCH_STAGES)
+        npt.assert_allclose(report["fps"], 1000.0 / report["end_to_end"]["mean_ms"], rtol=1e-9)
 
     def test_end_to_end_dominates_stages(self):
         from gazedir import nn
 
         ml = nn.build_gaze_net(15, 25, 7, seed=0)
         mr = nn.build_gaze_net(15, 25, 7, seed=1)
-        report = fusion.bench_latency(ml, mr, bench_frames(10), warmup=2, mode="ert")
-        worst_stage = max(s.mean_ms for s in report.stages.values())
-        assert report.end_to_end.mean_ms >= worst_stage
+        report = fusion.bench_latency(ml, mr, bench_frames(10), 2, "ert", (15, 25))
+        worst_stage = max(s["mean_ms"] for s in report["stages"].values())
+        assert report["end_to_end"]["mean_ms"] >= worst_stage
 
     def test_monotone_under_injected_delay(self, monkeypatch):
         from gazedir import nn
@@ -256,7 +256,7 @@ class TestBenchLatency:
         ml = nn.build_gaze_net(15, 25, 7, seed=0)
         mr = nn.build_gaze_net(15, 25, 7, seed=1)
         frames = bench_frames(8)
-        base = fusion.bench_latency(ml, mr, frames, warmup=2, mode="ert")
+        base = fusion.bench_latency(ml, mr, frames, 2, "ert", (15, 25))
 
         slow_normalize = preprocess.normalize
 
@@ -265,14 +265,14 @@ class TestBenchLatency:
             return slow_normalize(img)
 
         monkeypatch.setattr(preprocess, "normalize", delayed)
-        slowed = fusion.bench_latency(ml, mr, frames, warmup=2, mode="ert")
+        slowed = fusion.bench_latency(ml, mr, frames, 2, "ert", (15, 25))
         # two normalize calls per frame -> at least ~10 ms extra
-        assert slowed.stages["normalize"].mean_ms > base.stages["normalize"].mean_ms + 8
-        assert slowed.end_to_end.mean_ms > base.end_to_end.mean_ms + 8
+        assert slowed["stages"]["normalize"]["mean_ms"] > base["stages"]["normalize"]["mean_ms"] + 8
+        assert slowed["end_to_end"]["mean_ms"] > base["end_to_end"]["mean_ms"] + 8
 
     def test_empty_frames_rejected(self):
         with pytest.raises(ValueError):
-            fusion.bench_latency(None, None, [], warmup=0)
+            fusion.bench_latency(None, None, [], 0, "roi", (42, 50))
 
     def test_larger_patch_slows_forward(self):
         from gazedir import nn
@@ -282,7 +282,6 @@ class TestBenchLatency:
         for hw in ((15, 25), (42, 50)):
             ml = nn.build_gaze_net(*hw, 7, seed=0)
             mr = nn.build_gaze_net(*hw, 7, seed=1)
-            report = fusion.bench_latency(ml, mr, frames, warmup=5,
-                                          mode="roi", patch_hw=hw)
-            means[hw] = report.stages["forward_left"].mean_ms
+            report = fusion.bench_latency(ml, mr, frames, 5, "roi", hw)
+            means[hw] = report["stages"]["forward_left"]["mean_ms"]
         assert means[(42, 50)] > means[(15, 25)]
