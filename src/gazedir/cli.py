@@ -17,7 +17,7 @@ import numpy as np
 
 from . import augment, dataset, fusion, nn, preprocess, synth
 from .config import ConfigError, RunConfig, load_config
-from .dataset import EacClass, ThreeClass
+from .dataset import EacClass
 
 MODEL_LEFT = "model_left.gdn"
 MODEL_RIGHT = "model_right.gdn"
@@ -26,12 +26,6 @@ MODEL_RIGHT = "model_right.gdn"
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # map usage errors onto exit code 1
         raise ConfigError(message)
-
-
-def class_names(n_classes: int) -> list[str]:
-    if n_classes == 7:
-        return [c.name for c in EacClass]
-    return [c.name for c in ThreeClass]
 
 
 def _label(cfg: RunConfig, sample: dataset.Sample) -> int | None:
@@ -53,12 +47,18 @@ def _split(cfg: RunConfig) -> dataset.SplitPair:
     return split(samples, cfg.seed)
 
 
-def _eye_pairs(cfg: RunConfig, samples: list[dataset.Sample], split: str):
+def _eye_pairs(cfg: RunConfig, samples: list[dataset.Sample], split: str, eye: str = "both"):
     """(left, right) patch lists of the samples; each image is decoded once."""
     labels = [_label(cfg, s) for s in samples]
     return dataset.make_eye_pairs(
-        samples, cfg.mode, cfg.patch_hw, cfg.resolved_image_root(), split, labels
+        samples, cfg.mode, cfg.patch_hw, cfg.resolved_image_root(), split, labels, eye
     )
+
+
+def _triples(pairs) -> list[tuple]:
+    """(left, right, label) per sample, normalized; an eye left uncropped is None."""
+    return [(*(p and preprocess.normalize(p.pixels) for p in pair), (pair[0] or pair[1]).label)
+            for pair in zip(*pairs)]
 
 
 def _report_meta(cfg: RunConfig, **extra) -> dict:
@@ -126,8 +126,8 @@ def cmd_train(args) -> int:
 def _load_models(cfg: RunConfig, model_dir: str, eye: str):
     """(left, right) models; an eye that `eye` does not select is None."""
     models = tuple(
-        nn.load_model(os.path.join(model_dir, filename)) if eye in (side, "both") else None
-        for side, filename in zip(dataset.SIDES, (MODEL_LEFT, MODEL_RIGHT))
+        nn.load_model(os.path.join(model_dir, filename)) if wanted else None
+        for wanted, filename in zip(dataset.eye_selection(eye), (MODEL_LEFT, MODEL_RIGHT))
     )
     for model in filter(None, models):
         if model.n_classes != cfg.classes:
@@ -150,12 +150,9 @@ def cmd_eval(args) -> int:
     test = _split(cfg).test
     if not test:
         raise ConfigError("test split is empty")
-    triples = [
-        (preprocess.normalize(pl.pixels), preprocess.normalize(pr.pixels), pl.label)
-        for pl, pr in zip(*_eye_pairs(cfg, test, "test"))
-    ]
+    triples = _triples(_eye_pairs(cfg, test, "test", eye))
     result = fusion.evaluate(model_left, model_right, triples, eye=eye)
-    names = class_names(cfg.classes)
+    names = dataset.class_names(cfg.classes)
     paths = fusion.emit_report(result, names, _report_meta(cfg, eye=eye), cfg.report_dir)
     print(f"eye={eye} accuracy {result.accuracy:.4f} over {len(triples)} samples")
     for name, acc in zip(names, result.per_class_accuracy):
@@ -177,11 +174,11 @@ def cmd_predict(args) -> int:
     sample = dataset.Sample(args.image, face, EacClass.VD, landmarks)
     pairs = dataset.make_eye_pairs([sample], cfg.mode, cfg.patch_hw, split="test", eye=eye)
     model_left, model_right = _load_models(cfg, cfg.model_dir, eye)
-    xs = [preprocess.normalize(p[0].pixels) if p else None for p in pairs]
-    score = fusion.score_pair(model_left, model_right, *xs, eye)
+    (x_left, x_right, _), = _triples(pairs)
+    score = fusion.score_pair(model_left, model_right, x_left, x_right, eye)
     label = fusion.predict_class(score)
     out = {
-        "class": class_names(cfg.classes)[label],
+        "class": dataset.class_names(cfg.classes)[label],
         "scores": [fusion.round_sig(float(s)) for s in score],
     }
     print(json.dumps(out, sort_keys=True))
@@ -222,14 +219,14 @@ def cmd_bench(args) -> int:
 def _add_common(p: _Parser, eye: bool = False) -> None:
     p.add_argument("--config", help="INI config file")
     p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=("roi", "ert"))
-    p.add_argument("--classes", type=int, choices=(3, 7))
+    p.add_argument("--mode", choices=tuple(dataset.PATCH_HW))
+    p.add_argument("--classes", type=int, choices=tuple(dataset.CLASS_SETS))
     p.add_argument("--manifest")
     p.add_argument("--image-root")
     p.add_argument("--model-dir")
     p.add_argument("--report-dir")
     if eye:
-        p.add_argument("--eye", choices=("left", "right", "both"), default="both")
+        p.add_argument("--eye", choices=dataset.EYES, default="both")
 
 
 def _config_from(args) -> RunConfig:

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .augment import AugmentPolicy
-from .dataset import DEFAULT_THREE_CLASS_MAP, EacClass, ThreeClass, default_patch_hw
+from .dataset import DEFAULT_THREE_CLASS_MAP, EacClass, ThreeClass, class_names, default_patch_hw
 
 
 class ConfigError(ValueError):
@@ -77,9 +77,9 @@ class RunConfig:
     batch_size: int = 32
     epochs: int = 200
     seed: int = 0
-    rotations: tuple[float, ...] = (5.0, -5.0, 10.0, -10.0)
-    sigmas: tuple[float, ...] = (0.5, 1.0)
-    scales: tuple[float, ...] = (0.9, 1.1)
+    rotations: tuple[float, ...] = AugmentPolicy.rotation_degrees
+    sigmas: tuple[float, ...] = AugmentPolicy.blur_sigmas
+    scales: tuple[float, ...] = AugmentPolicy.scale_factors
     map3: dict = field(default_factory=lambda: dict(DEFAULT_THREE_CLASS_MAP))
     subject_split: bool = False
     manifest: str | None = None
@@ -105,11 +105,12 @@ class RunConfig:
         return ""
 
     def validate(self) -> None:
-        if self.mode not in ("roi", "ert"):
-            raise ConfigError(f"mode must be roi or ert, got {self.mode!r}")
-        if self.classes not in (3, 7):
-            raise ConfigError(f"classes must be 3 or 7, got {self.classes}")
-        h, w = self.patch_hw
+        try:
+            h, w = self.patch_hw  # an unknown mode fails here
+            class_names(self.classes)
+            self.policy
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         if h < 8 or w < 8:
             raise ConfigError(f"patch {h}x{w} too small; the network needs >= 8x8")
         if not (math.isfinite(self.lr) and self.lr >= 0):
@@ -118,13 +119,11 @@ class RunConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         missing = [c.name for c in EacClass if c not in self.map3]
         if missing:
             raise ConfigError(f"[map3] missing entries: {', '.join(missing)}")
-        try:
-            self.policy
-        except ValueError as exc:
-            raise ConfigError(str(exc))
 
     def to_ini_text(self) -> str:
         """Canonical INI echo of the effective config; feeding it back
@@ -187,8 +186,9 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         with open(path, encoding="utf-8") as f:
             try:
                 parser.read_file(f)
-            except configparser.Error as exc:
-                raise ConfigError(f"{path}: {exc}")
+            except (configparser.Error, UnicodeDecodeError) as exc:
+                # configparser quotes the offending text on further lines
+                raise ConfigError(f"{path}: " + " ".join(map(str.strip, str(exc).splitlines())))
         _apply_file(cfg, parser, path)
     if overrides:
         valid = {f.name for f in fields(RunConfig)}

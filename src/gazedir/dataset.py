@@ -96,20 +96,23 @@ def load_manifest(path) -> list[Sample]:
     with open(path, "r", encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f)
         header = None
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = [c.strip() for c in row]
-                if header != MANIFEST_COLUMNS:
-                    raise ManifestError(
-                        f"{path}: bad header; expected {','.join(MANIFEST_COLUMNS)}"
-                    )
-                continue
-            try:
-                samples.append(_parse_row(row))
-            except ValueError as exc:
-                bad.append(f"line {reader.line_num}: {exc}")
+        try:
+            for row in reader:
+                if not row or row[0].lstrip().startswith("#"):
+                    continue
+                if header is None:
+                    header = [c.strip() for c in row]
+                    if header != MANIFEST_COLUMNS:
+                        raise ManifestError(
+                            f"{path}: bad header; expected {','.join(MANIFEST_COLUMNS)}"
+                        )
+                    continue
+                try:
+                    samples.append(_parse_row(row))
+                except ValueError as exc:
+                    bad.append(f"line {reader.line_num}: {exc}")
+        except csv.Error as exc:  # e.g. a field above the csv module's size limit
+            raise ManifestError(f"{path}: line {reader.line_num}: {exc}") from None
     if header is None:
         raise ManifestError(f"{path}: missing header row")
     if bad:
@@ -229,22 +232,40 @@ def to_three_class(sample: Sample, mapping: dict[EacClass, ThreeClass | None]) -
     return mapping[sample.eac]
 
 
-def default_patch_hw(mode: str) -> tuple[int, int]:
-    if mode == "roi":
-        return preprocess.ROI_PATCH_HW
-    if mode == "ert":
-        return preprocess.ERT_PATCH_HW
-    raise ValueError(f"unknown path mode {mode!r}")
-
-
+# run choices: crop path (mode) -> default patch (rows, cols), eyes, class sets by size
+PATCH_HW = {"roi": (42, 50), "ert": (15, 25)}
 SIDES = ("left", "right")
+EYES = (*SIDES, "both")
+CLASS_SETS = {3: ThreeClass, 7: EacClass}
+
+
+def default_patch_hw(mode: str) -> tuple[int, int]:
+    """The crop path's default patch size; ValueError for an unknown mode."""
+    if mode not in PATCH_HW:
+        raise ValueError(f"mode must be {' or '.join(PATCH_HW)}, got {mode!r}")
+    return PATCH_HW[mode]
+
+
+def class_names(n_classes: int) -> list[str]:
+    """The class set of that size, in reporting order; ValueError for another size."""
+    if n_classes not in CLASS_SETS:
+        raise ValueError(f"classes must be {' or '.join(map(str, CLASS_SETS))}, got {n_classes}")
+    return [c.name for c in CLASS_SETS[n_classes]]
+
+
+def eye_selection(eye: str) -> tuple[bool, bool]:
+    """Which of (left, right) `eye` selects; ValueError outside EYES."""
+    if eye not in EYES:
+        raise ValueError(f"eye must be {'|'.join(EYES)}, got {eye!r}")
+    return eye != "right", eye != "left"
 
 
 def eye_boxes(sample: Sample, mode: str, eye: str) -> tuple:
     """(image-left, image-right) eye boxes: ROI geometry cut from the face box
     in roi mode, framed by the eye-corner landmarks in ert mode. An eye that
     `eye` does not select gets None; its box is not computed."""
-    wanted = [eye in (side, "both") for side in SIDES]
+    wanted = eye_selection(eye)
+    default_patch_hw(mode)  # rejects an unknown mode
     if mode == "roi":
         boxes = preprocess.geometric_eye_rois(sample.face)
         return tuple(box if w else None for box, w in zip(boxes, wanted))
@@ -279,17 +300,15 @@ def extract_patch(
 def make_eye_pairs(
     samples: list[Sample], mode: str, patch_hw: tuple[int, int] | None = None,
     image_root: str = "", split: str = "train", labels=None, eye: str = "both",
-) -> tuple[list[EyePatch], list[EyePatch]]:
+) -> tuple[list, list]:
     """Decodes each image once into (left, right) patch lists tagged with their
-    split; the list of an eye that `eye` does not select stays empty.
+    split, one entry per sample; an eye that `eye` does not select is None.
 
     labels defaults to each sample's 7-class index; pass explicit labels for
     3-class runs.
     """
-    if mode not in ("roi", "ert"):
-        raise ValueError(f"mode must be 'roi' or 'ert', got {mode!r}")
     hw = default_patch_hw(mode) if patch_hw is None else patch_hw
-    out: tuple[list[EyePatch], list[EyePatch]] = ([], [])
+    out: tuple[list, list] = ([], [])
     for i, sample in enumerate(samples):
         img = preprocess.read_pnm(os.path.join(image_root, sample.image_path))
         gray = preprocess.to_grayscale(img)
@@ -299,8 +318,7 @@ def make_eye_pairs(
         except ValueError as exc:
             raise ValueError(f"{sample.image_path}: {exc}") from None
         for patches, pixels in zip(out, pair):
-            if pixels is not None:
-                patches.append(EyePatch(pixels, label, split))
+            patches.append(None if pixels is None else EyePatch(pixels, label, split))
     return out
 
 

@@ -70,11 +70,10 @@ class EvalResult:
 def score_pair(model_left, model_right, x_left, x_right, eye: str) -> np.ndarray:
     """Scores one eye pair: one network's softmax for eye "left" or "right",
     the fused mean of both for "both"; an unused eye's tensor may be None."""
-    if eye == "left":
-        return model_left.forward(x_left)
-    if eye == "right":
-        return model_right.forward(x_right)
-    return fuse_scores(model_left.forward(x_left), model_right.forward(x_right))
+    use_left, use_right = dataset.eye_selection(eye)
+    if use_left and use_right:
+        return fuse_scores(model_left.forward(x_left), model_right.forward(x_right))
+    return model_left.forward(x_left) if use_left else model_right.forward(x_right)
 
 
 def evaluate(model_left, model_right, samples, eye: str = "both") -> EvalResult:
@@ -82,18 +81,15 @@ def evaluate(model_left, model_right, samples, eye: str = "both") -> EvalResult:
 
     eye selects fused scoring ("both") or a single network ("left"/"right").
     """
-    if eye not in ("left", "right", "both"):
-        raise ValueError(f"eye must be left|right|both, got {eye!r}")
-    for side, model in zip(dataset.SIDES, (model_left, model_right)):
-        if eye in (side, "both") and model is None:
+    selection = zip(dataset.SIDES, (model_left, model_right), dataset.eye_selection(eye))
+    used = [(side, model) for side, model, wanted in selection if wanted]
+    for side, model in used:
+        if model is None:
             raise ValueError(f"{side} model required")
-    if eye == "both" and model_left.n_classes != model_right.n_classes:
-        raise ValueError(
-            f"class-count mismatch between models: "
-            f"{model_left.n_classes} vs {model_right.n_classes}"
-        )
-    n_classes = (model_right if eye == "right" else model_left).n_classes
-    cm = ConfusionMatrix(n_classes)
+    n_classes = [model.n_classes for _, model in used]
+    if len(set(n_classes)) > 1:
+        raise ValueError(f"class-count mismatch between models: {n_classes[0]} vs {n_classes[1]}")
+    cm = ConfusionMatrix(n_classes[0])
     for xl, xr, label in samples:
         cm.add(int(label), predict_class(score_pair(model_left, model_right, xl, xr, eye)))
     return EvalResult(cm.accuracy, cm.per_class_accuracy, cm)

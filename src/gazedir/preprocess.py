@@ -12,10 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# patch sizes as (rows, cols); both overridable through the run config
-ROI_PATCH_HW = (42, 50)
-ERT_PATCH_HW = (15, 25)
-
 # eye ROI as fractions of the face box: x offsets for the image-left and
 # image-right eye, shared y offset, and the box extents
 ROI_FRACTIONS = (0.12, 0.56, 0.22, 0.32, 0.26)

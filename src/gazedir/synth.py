@@ -77,6 +77,8 @@ def generate_corpus(out_dir, n_per_class: int, seed: int) -> tuple[str, list[Sam
     """
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
     landmarks = canonical_landmarks()

@@ -1,8 +1,10 @@
 """Command-line surface: synth/train/eval/predict/bench, config, exit codes."""
 
+import dataclasses
 import json
 import os
 import re
+import shlex
 import shutil
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from gazedir import cli, dataset, nn, preprocess, synth
+from gazedir.augment import AugmentPolicy
 from gazedir.config import ConfigError, RunConfig, load_config
 
 
@@ -196,6 +199,56 @@ class TestConfig:
         assert cfg.manifest == "data/manifest.csv"
         assert cfg.mode == "ert" and cfg.classes == 7
 
+    def test_readme_command_lines_parse(self):
+        """Every `gazedir ...` line of README's command-line block parses, so a
+        renamed or dropped flag fails here."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1]
+        block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line) for line in lines if line.startswith("gazedir ")]
+        assert [argv[1] for argv in commands] == ["synth", "train", "eval", "predict", "bench"]
+        for argv in commands:
+            assert cli.build_parser().parse_args(argv[1:]).command == argv[1]
+
+    @pytest.mark.parametrize("text", [
+        "mode = roi\n", "[]\n", "[data]\nmode\n",
+    ], ids=["no-section", "empty-section-name", "key-without-value"])
+    def test_malformed_config_is_one_line(self, tmp_path, capsys, text):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        assert run(["train", "--config", str(ini)]) == 1
+        assert _single_error_line(capsys.readouterr().err).startswith(f"error: {ini}: ")
+
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(b"[data]\nmode = \xff\n")
+        assert run(["train", "--config", str(ini)]) == 1
+        line = _single_error_line(capsys.readouterr().err)
+        assert line.startswith(f"error: {ini}: ") and "utf-8" in line
+
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            load_config(None, {"seed": -1})
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            synth.generate_corpus(tmp_path / "out", 1, -1)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "bench", "synth"])
+    def test_negative_seed_flag_exit_1(self, corpus, tmp_path, capsys, command):
+        extra = {
+            "synth": ["--out", str(tmp_path / "out")],
+            "bench": ["--frames", "1", "--report-dir", str(tmp_path)],
+        }.get(command, ["--manifest", str(corpus / "manifest.csv"), "--model-dir", str(tmp_path)])
+        assert run([command, *extra, "--seed", "-1"]) == 1
+        assert "seed must be >= 0, got -1" in _single_error_line(capsys.readouterr().err)
+
+    def test_augment_defaults_are_the_policy_defaults(self):
+        cfg = RunConfig()
+        assert cfg.policy == AugmentPolicy()
+        assert cfg.rotations == (5.0, -5.0, 10.0, -10.0)
+        assert cfg.sigmas == (0.5, 1.0) and cfg.scales == (0.9, 1.1)
+
     def test_report_config_echo_reproduces_run(self, trained, corpus, tmp_path):
         """Feeding a report's config echo back yields a byte-identical report."""
         reports = tmp_path / "r1"
@@ -351,6 +404,32 @@ class TestEvalCommand:
         assert code == 0
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["eye"] == "left"
+
+    def test_unscored_eye_is_not_cropped(self, trained, corpus, tmp_path, capsys):
+        # every image-right eye's corners are moved off the 120x120 images
+        off = tmp_path / "off.csv"
+        dataset.write_manifest(off, [
+            dataclasses.replace(s, landmarks=dataclasses.replace(
+                s.landmarks, right_inner=(500.0, 45.0), right_outer=(522.0, 45.0)))
+            for s in dataset.load_manifest(corpus / "manifest.csv")
+        ])
+
+        def evaluate(manifest, eye):
+            return run([
+                "eval", "--manifest", str(manifest), "--image-root", str(corpus),
+                "--model-dir", str(trained / "models"), "--report-dir", str(tmp_path / eye),
+                "--mode", "ert", "--seed", "1", "--eye", eye,
+            ])
+
+        assert evaluate(corpus / "manifest.csv", "left") == 0
+        plain = (tmp_path / "left" / "confusion.csv").read_bytes()
+        assert evaluate(off, "left") == 0
+        assert (tmp_path / "left" / "confusion.csv").read_bytes() == plain
+        capsys.readouterr()
+        for eye in ("right", "both"):
+            assert evaluate(off, eye) == 1
+            line = _single_error_line(capsys.readouterr().err)
+            assert re.match(r"error: \w+_\d+\.pgm: crop box .* lies outside", line), line
 
     def test_class_count_mismatch_is_validation_error(self, trained, corpus, tmp_path):
         code = run([
@@ -642,6 +721,13 @@ class TestRuntimeFailures:
         assert code == 1
         assert "diverged" in _single_error_line(capsys.readouterr().err)
         assert {p.name: p.read_bytes() for p in models.iterdir()} == before
+
+    def test_oversized_manifest_field_exit_1(self, tmp_path, capsys):
+        manifest = tmp_path / "big.csv"
+        manifest.write_text(f"{HEADER}\nvd_000.pgm,VD,{GOOD_FACE},,,,,,,,,{'s' * 200_000}\n")
+        assert run(["train", "--manifest", str(manifest), "--model-dir", str(tmp_path)]) == 1
+        line = _single_error_line(capsys.readouterr().err)
+        assert line.startswith(f"error: {manifest}: line 2: field larger than field limit")
 
     def test_huge_landmarks_predict_exit_1(self, trained, corpus, capsys):
         code = run([

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gazedir import dataset, synth
+from gazedir import dataset, preprocess, synth
 from gazedir.dataset import (
     DEFAULT_THREE_CLASS_MAP,
     EacClass,
@@ -105,6 +105,16 @@ class TestLoadManifest:
             f"bad.pgm,VD,0,0,10,10,1,2,3,2,6,2,{token},2,\n",
         )
         with pytest.raises(ManifestError, match="line 3: non-finite landmark"):
+            dataset.load_manifest(path)
+
+    def test_oversized_field_names_file_and_line(self, tmp_path):
+        # one field beyond the csv module's 131072-character limit
+        path = write_manifest_text(
+            tmp_path,
+            HEADER + "\nok.pgm,VD,0,0,10,10,,,,,,,,,s1\n"
+            "big.pgm,VD,0,0,10,10,,,,,,,,," + "s" * 200_000 + "\n",
+        )
+        with pytest.raises(ManifestError, match=r"m\.csv: line 3: field larger than field limit"):
             dataset.load_manifest(path)
 
     def test_missing_file_is_io_error(self, tmp_path):
@@ -296,3 +306,58 @@ class TestMakeEyeSamples:
             eye_tensors(samples, "up", "ert", image_root=root)
         with pytest.raises(ValueError):
             eye_tensors(samples, "left", "cnn", image_root=root)
+
+
+def _eye_pair(root, sample, mode, eye):
+    gray = preprocess.to_grayscale(preprocess.read_pnm(f"{root}/{sample.image_path}"))
+    return dataset.eye_pair(gray, sample, mode, (15, 25), eye)
+
+
+# every dataset entry point that takes a mode and an eye, as (root, sample, mode, eye)
+CHOICE_ENTRY_POINTS = {
+    "eye_boxes": lambda root, sample, mode, eye: dataset.eye_boxes(sample, mode, eye),
+    "eye_pair": _eye_pair,
+    "make_eye_pairs": lambda root, sample, mode, eye: dataset.make_eye_pairs(
+        [sample], mode, image_root=root, eye=eye),
+    "make_eye_pairs_sized": lambda root, sample, mode, eye: dataset.make_eye_pairs(
+        [sample], mode, (15, 25), image_root=root, eye=eye),
+}
+
+
+class TestRunChoices:
+    """mode, eye and class set each come from one table in `dataset`; a value
+    outside it is a ValueError from every entry point, never a silent default."""
+
+    def test_tables(self):
+        assert dataset.default_patch_hw("roi") == (42, 50)
+        assert dataset.default_patch_hw("ert") == (15, 25)
+        assert [dataset.eye_selection(e) for e in dataset.EYES] == [
+            (True, False), (False, True), (True, True)
+        ]
+        assert dataset.class_names(7) == ["VD", "VR", "VC", "AR", "AC", "ID", "K"]
+        assert dataset.class_names(3) == ["LEFT", "CENTER", "RIGHT"]
+
+    @pytest.mark.parametrize("value", [5, 0])
+    def test_unknown_class_set_rejected(self, value):
+        with pytest.raises(ValueError, match="classes must be 3 or 7"):
+            dataset.class_names(value)
+
+    @pytest.mark.parametrize("entry", CHOICE_ENTRY_POINTS)
+    @pytest.mark.parametrize("eye", ["lft", "Both"])
+    def test_unknown_eye_rejected(self, corpus, entry, eye):
+        root, samples = corpus
+        with pytest.raises(ValueError, match=rf"eye must be left\|right\|both, got '{eye}'"):
+            CHOICE_ENTRY_POINTS[entry](root, samples[0], "ert", eye)
+
+    @pytest.mark.parametrize("entry", CHOICE_ENTRY_POINTS)
+    @pytest.mark.parametrize("mode", ["rio", "ERT"])
+    def test_unknown_mode_rejected(self, corpus, entry, mode):
+        root, samples = corpus
+        with pytest.raises(ValueError, match=f"mode must be roi or ert, got '{mode}'"):
+            CHOICE_ENTRY_POINTS[entry](root, samples[0], mode, "both")
+
+    def test_unselected_eye_is_none_per_sample(self, corpus):
+        root, samples = corpus
+        left, right = dataset.make_eye_pairs(samples, "ert", image_root=root, eye="left")
+        assert len(left) == len(right) == len(samples)
+        assert all(p is not None for p in left) and all(p is None for p in right)

@@ -164,6 +164,24 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             fusion.evaluate(FixedModel(np.zeros(3)), None, [], eye="up")
 
+    @pytest.mark.parametrize("eye", ["left", "right", "both"])
+    def test_selected_model_required(self, eye):
+        with pytest.raises(ValueError, match="model required"):
+            fusion.evaluate(None, None, [(np.zeros(1), np.zeros(1), 0)], eye=eye)
+
+    def test_single_eye_class_count_from_its_model(self):
+        triples = [(None, np.zeros(1), 1)]
+        result = fusion.evaluate(None, FixedModel([0.1, 0.9]), triples, eye="right")
+        assert result.confusion.n_classes == 2 and result.accuracy == 1.0
+
+
+class TestScorePair:
+    @pytest.mark.parametrize("eye", ["lft", "Both", ""])
+    def test_unknown_eye_rejected(self, eye):
+        ml, mr = FixedModel([0.8, 0.2]), FixedModel([0.2, 0.8])
+        with pytest.raises(ValueError, match="eye must be"):
+            fusion.score_pair(ml, mr, np.zeros(1), np.zeros(1), eye)
+
 
 class TestEmitReport:
     def result_3class(self):
@@ -269,6 +287,15 @@ class TestBenchLatency:
         # two normalize calls per frame -> at least ~10 ms extra
         assert slowed["stages"]["normalize"]["mean_ms"] > base["stages"]["normalize"]["mean_ms"] + 8
         assert slowed["end_to_end"]["mean_ms"] > base["end_to_end"]["mean_ms"] + 8
+
+    @pytest.mark.parametrize("mode", ["rio", "ERT"])
+    def test_unknown_mode_rejected(self, mode):
+        from gazedir import nn
+
+        ml = nn.build_gaze_net(15, 25, 7, seed=0)
+        mr = nn.build_gaze_net(15, 25, 7, seed=1)
+        with pytest.raises(ValueError, match=f"mode must be roi or ert, got '{mode}'"):
+            fusion.bench_latency(ml, mr, bench_frames(2), 0, mode, (15, 25))
 
     def test_empty_frames_rejected(self):
         with pytest.raises(ValueError):
