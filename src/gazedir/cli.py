@@ -32,7 +32,7 @@ def _label(cfg: RunConfig, sample: dataset.Sample) -> int | None:
     """The sample's run label; None when 3-class mode drops its class."""
     if cfg.classes == 7:
         return int(sample.eac)
-    mapped = dataset.to_three_class(sample, cfg.map3)
+    mapped = cfg.map3[sample.eac]  # RunConfig.validate checks map3 is complete
     return None if mapped is None else int(mapped)
 
 
@@ -216,15 +216,18 @@ def cmd_bench(args) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
+def _add_fields(p: _Parser, *names: str) -> None:
+    """Flags that set RunConfig fields; each reads its value through the
+    field's INI token parser, so `--manifest ""` is unset as in a file."""
+    parsers = {f.name: f.metadata["parse"] for f in fields(RunConfig) if f.metadata}
+    choices = {"mode": tuple(dataset.PATCH_HW), "classes": tuple(dataset.CLASS_SETS)}
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), type=parsers[name], choices=choices.get(name))
+
+
 def _add_common(p: _Parser, eye: bool = False) -> None:
     p.add_argument("--config", help="INI config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=tuple(dataset.PATCH_HW))
-    p.add_argument("--classes", type=int, choices=tuple(dataset.CLASS_SETS))
-    p.add_argument("--manifest")
-    p.add_argument("--image-root")
-    p.add_argument("--model-dir")
-    p.add_argument("--report-dir")
+    _add_fields(p, "seed", "mode", "classes", "manifest", "image_root", "model_dir", "report_dir")
     if eye:
         p.add_argument("--eye", choices=dataset.EYES, default="both")
 
@@ -247,9 +250,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train the left/right eye networks")
     _add_common(p)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--epochs", type=int)
+    _add_fields(p, "lr", "batch_size", "epochs")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate trained models on the test split")

@@ -3,8 +3,10 @@
 The file format is flat key=value INI with sections [data], [train],
 [augment], [map3]. Unknown sections or keys are rejected. The effective
 config has a canonical text form whose hash is stamped into every report.
-Every field is named once, in _FIELDS: the INI and JSON echoes, the file
-reader and the known-key check all walk that table.
+Every field is declared once, in RunConfig, each INI field with its section
+and token parser; _FIELDS lists them in echo order for the echoes, the file
+reader, the known-key check and the CLI flags. DEFAULT_THREE_CLASS_MAP is the
+default [map3] section, the 7 -> 3 class mapping.
 """
 
 from __future__ import annotations
@@ -16,14 +18,14 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .augment import AugmentPolicy
-from .dataset import DEFAULT_THREE_CLASS_MAP, EacClass, ThreeClass, class_names, default_patch_hw
+from .dataset import EacClass, ThreeClass, class_names, default_patch_hw
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
+def _parse_floats(text: str) -> tuple[float, ...]:
     text = text.strip()
     if not text:
         return ()
@@ -43,49 +45,48 @@ def _parse_manifest(text: str) -> str | None:
     return text or None  # the empty token is an unset manifest
 
 
-# (INI section, field name, parser of the INI token), in echo order
-_FIELDS = (
-    ("data", "manifest", _parse_manifest),
-    # plain str: the echo writes the resolved root, where "" means the cwd
-    ("data", "image_root", str),
-    ("data", "mode", str),
-    ("data", "classes", int),
-    ("data", "patch_h", int),
-    ("data", "patch_w", int),
-    ("data", "subject_split", _parse_bool),
-    ("train", "lr", float),
-    ("train", "batch_size", int),
-    ("train", "epochs", int),
-    ("train", "seed", int),
-    ("train", "model_dir", str),
-    ("train", "report_dir", str),
-    ("augment", "rotations", _parse_float_list),
-    ("augment", "sigmas", _parse_float_list),
-    ("augment", "scales", _parse_float_list),
-)
+def _ini(section: str, parse, default):
+    """A field read from [section] of an INI file through parse(token)."""
+    return field(default=default, metadata={"section": section, "parse": parse})
+
 
 _MAP3_VALUES = {**{c.name.lower(): c for c in ThreeClass}, "excluded": None}
+
+# 7 -> 3 class mapping; None drops the class in 3-class mode. The lateral
+# auditory cues map to left/right and the defocused class to center; the
+# mapping is configuration, not ground truth.
+DEFAULT_THREE_CLASS_MAP: dict[EacClass, ThreeClass | None] = {
+    EacClass.VD: ThreeClass.CENTER,
+    EacClass.VR: None,
+    EacClass.VC: None,
+    EacClass.AR: ThreeClass.LEFT,
+    EacClass.AC: ThreeClass.RIGHT,
+    EacClass.ID: None,
+    EacClass.K: None,
+}
 
 
 @dataclass
 class RunConfig:
-    mode: str = "ert"
-    classes: int = 7
-    patch_h: int | None = None  # None -> mode default
-    patch_w: int | None = None
-    lr: float = 0.01
-    batch_size: int = 32
-    epochs: int = 200
-    seed: int = 0
-    rotations: tuple[float, ...] = AugmentPolicy.rotation_degrees
-    sigmas: tuple[float, ...] = AugmentPolicy.blur_sigmas
-    scales: tuple[float, ...] = AugmentPolicy.scale_factors
+    # INI fields in echo order; map3 has its own [map3] section
+    manifest: str | None = _ini("data", _parse_manifest, None)
+    # plain str: the echo writes the resolved root, where "" means the cwd
+    image_root: str | None = _ini("data", str, None)
+    mode: str = _ini("data", str, "ert")
+    classes: int = _ini("data", int, 7)
+    patch_h: int | None = _ini("data", int, None)  # None -> mode default
+    patch_w: int | None = _ini("data", int, None)
+    subject_split: bool = _ini("data", _parse_bool, False)
+    lr: float = _ini("train", float, 0.01)
+    batch_size: int = _ini("train", int, 32)
+    epochs: int = _ini("train", int, 200)
+    seed: int = _ini("train", int, 0)
+    model_dir: str = _ini("train", str, "models")
+    report_dir: str = _ini("train", str, "reports")
+    rotations: tuple[float, ...] = _ini("augment", _parse_floats, AugmentPolicy.rotation_degrees)
+    sigmas: tuple[float, ...] = _ini("augment", _parse_floats, AugmentPolicy.blur_sigmas)
+    scales: tuple[float, ...] = _ini("augment", _parse_floats, AugmentPolicy.scale_factors)
     map3: dict = field(default_factory=lambda: dict(DEFAULT_THREE_CLASS_MAP))
-    subject_split: bool = False
-    manifest: str | None = None
-    image_root: str | None = None
-    model_dir: str = "models"
-    report_dir: str = "reports"
 
     @property
     def patch_hw(self) -> tuple[int, int]:
@@ -156,6 +157,11 @@ class RunConfig:
         _apply_file(cfg, parser, "config echo")
         cfg.validate()
         return cfg
+
+
+# (INI section, field name, parser of the INI token), in echo order
+_FIELDS = tuple((f.metadata["section"], f.name, f.metadata["parse"])
+                for f in fields(RunConfig) if f.metadata)
 
 
 def _ini_token(value) -> str:

@@ -1,8 +1,9 @@
-"""Annotation manifest ingestion, train/test splitting, and label mapping.
+"""Annotation manifest ingestion, train/test splitting, and the run-choice tables.
 
 A manifest is a CSV binding each image to its face box, optional eye-corner
 landmarks, gaze class, and optional subject id. Rows become Samples; Samples
-become per-eye patches via the preprocess chain.
+become per-eye patches via the preprocess chain. The 7 -> 3 class mapping is
+run configuration, in `config` (RunConfig.map3).
 """
 
 from __future__ import annotations
@@ -36,19 +37,6 @@ class ThreeClass(enum.IntEnum):
     CENTER = 1
     RIGHT = 2
 
-
-# 7 -> 3 class mapping; None drops the class in 3-class mode. The lateral
-# auditory cues map to left/right and the defocused class to center; the
-# mapping is configuration, not ground truth.
-DEFAULT_THREE_CLASS_MAP: dict[EacClass, ThreeClass | None] = {
-    EacClass.VD: ThreeClass.CENTER,
-    EacClass.VR: None,
-    EacClass.VC: None,
-    EacClass.AR: ThreeClass.LEFT,
-    EacClass.AC: ThreeClass.RIGHT,
-    EacClass.ID: None,
-    EacClass.K: None,
-}
 
 MANIFEST_COLUMNS = [
     "image_path", "eac",
@@ -124,6 +112,8 @@ def _parse_row(row: list[str]) -> Sample:
     if len(row) != len(MANIFEST_COLUMNS):
         raise ValueError(f"expected {len(MANIFEST_COLUMNS)} fields, got {len(row)}")
     fields = [c.strip() for c in row]
+    if not fields[0]:
+        raise ValueError("empty image_path")
     token = fields[1].upper()
     if token not in EacClass.__members__:
         raise ValueError(f"unknown eac label {fields[1]!r}")
@@ -172,6 +162,13 @@ def parse_landmarks(tokens: list[str]) -> EyeLandmarks:
 
 
 def write_manifest(path, samples: list[Sample]) -> None:
+    """Writes manifest rows; ValueError, before any write, if a text field won't read back."""
+    for s in samples:  # the csv writer leaves a lone "\r" unquoted
+        if s.image_path[:1] in ("", "#") or any(
+                t != t.strip() or "\r" in t or len(t) > csv.field_size_limit()
+                or t.encode("utf-8", "surrogatepass") != t.encode("utf-8", "replace")  # surrogates
+                for t in (s.image_path, s.subject_id or "")):
+            raise ValueError(f"sample {s.image_path!r} (subject {s.subject_id!r}) won't read back")
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(MANIFEST_COLUMNS)
@@ -222,14 +219,6 @@ def split_subject_disjoint(samples: list[Sample], seed: int) -> SplitPair:
     train = [s for s in samples if s.subject_id in train_subjects]
     test = [s for s in samples if s.subject_id not in train_subjects]
     return SplitPair(train=train, test=test)
-
-
-def to_three_class(sample: Sample, mapping: dict[EacClass, ThreeClass | None]) -> ThreeClass | None:
-    """Maps the 7-class label into {left, center, right}; None when excluded."""
-    missing = [c.name for c in EacClass if c not in mapping]
-    if missing:
-        raise ValueError(f"3-class mapping missing entries for: {', '.join(missing)}")
-    return mapping[sample.eac]
 
 
 # run choices: crop path (mode) -> default patch (rows, cols), eyes, class sets by size

@@ -32,8 +32,10 @@ def _conv_cols(x4: np.ndarray, kh: int, kw: int, buf: np.ndarray | None = None) 
     """Zero-pad for same-size output and unfold: (B,C,H,W) -> (B, C*kh*kw, H*W).
 
     One strided slice copy per kernel offset; the layout makes the final
-    reshape a view. A matching scratch buffer is reused when supplied
-    (allocating these per batch dominates training time otherwise).
+    reshape a view. A matching scratch buffer is reused when supplied: at
+    B=32 this saves ~9% of a 42x50 training step, as conv2's 40 MB unfold
+    lies above glibc's 32 MiB mmap-threshold ceiling and would be mapped
+    afresh each batch. At 15x25 it measured no gain.
     """
     b, c, h, w = x4.shape
     ph, pw = kh // 2, kw // 2

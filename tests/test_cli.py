@@ -211,6 +211,14 @@ class TestConfig:
         for argv in commands:
             assert cli.build_parser().parse_args(argv[1:]).command == argv[1]
 
+    def test_readme_model_tags_are_the_layer_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Model file", 1)[1]
+        listed = re.search(r"\((0=.*?)\)", section, re.S).group(1)
+        tags = [item.split("=") for item in re.split(r",\s*", listed)]
+        assert [int(i) for i, _ in tags] == list(range(len(tags)))
+        assert [kind for _, kind in tags] == [c.kind for c in nn._LAYER_CLASSES]
+
     @pytest.mark.parametrize("text", [
         "mode = roi\n", "[]\n", "[data]\nmode\n",
     ], ids=["no-section", "empty-section-name", "key-without-value"])
@@ -326,6 +334,11 @@ class TestTrainCommand:
 
     def test_missing_manifest_is_validation_error(self):
         assert run(["train", "--epochs", "1"]) == 1
+
+    def test_empty_manifest_flag_is_unset(self, tmp_path, capsys):
+        """`--manifest ""` reads like `manifest =` in a file: no manifest."""
+        assert run(["train", "--manifest", "", "--model-dir", str(tmp_path)]) == 1
+        assert "no manifest configured" in _single_error_line(capsys.readouterr().err)
 
     def test_empty_after_filtering_is_validation_error(self, tmp_path, corpus):
         ini = tmp_path / "empty.ini"

@@ -1,21 +1,19 @@
 """Manifest parsing, splits, label mapping, and eye-sample materialization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gazedir import dataset, preprocess, synth
-from gazedir.dataset import (
-    DEFAULT_THREE_CLASS_MAP,
-    EacClass,
-    ManifestError,
-    Sample,
-    ThreeClass,
-)
+from gazedir import cli, dataset, preprocess, synth
+from gazedir.config import ConfigError, RunConfig
+from gazedir.dataset import EacClass, ManifestError, Sample, ThreeClass
 from gazedir.preprocess import Box
 
 HEADER = ",".join(dataset.MANIFEST_COLUMNS)
+TEXT = st.text(st.characters(exclude_categories=()))  # surrogates too
 
 
 def write_manifest_text(tmp_path, body, name="m.csv"):
@@ -158,6 +156,42 @@ class TestLoadManifest:
         dataset.write_manifest(path, samples)
         assert dataset.load_manifest(path) == samples
 
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(rows=st.lists(st.tuples(TEXT, st.none() | TEXT), min_size=1, max_size=4))
+    def test_write_raises_or_round_trips(self, tmp_path, rows):
+        """write_manifest refuses a text field load_manifest would drop or alter."""
+        samples = [Sample(p, Box(0, 1, 50, 60), EacClass.AR, None, subject)
+                   for p, subject in rows]
+        path = tmp_path / "fuzz.csv"
+        path.unlink(missing_ok=True)
+        try:
+            dataset.write_manifest(path, samples)
+        except ValueError:
+            assert not path.exists()
+            return
+        loaded = dataset.load_manifest(path)
+        # an empty subject reads back as None
+        assert [(s.image_path, s.subject_id or "") for s in loaded] == \
+            [(p, subject or "") for p, subject in rows]
+
+    def test_write_names_the_unreadable_sample(self, tmp_path):
+        for bad in (Sample("#a.pgm", Box(0, 0, 1, 1), EacClass.VD),
+                    Sample(" b.pgm ", Box(0, 0, 1, 1), EacClass.VD),
+                    Sample("c.pgm", Box(0, 0, 1, 1), EacClass.VD, None, " s1 "),
+                    Sample("", Box(0, 0, 1, 1), EacClass.VD),
+                    Sample("e\udc80.pgm", Box(0, 0, 1, 1), EacClass.VD),
+                    Sample("d.pgm", Box(0, 0, 1, 1), EacClass.VD, None, "s" * 200_000)):
+            with pytest.raises(ValueError, match=re.escape(repr(bad.image_path))):
+                dataset.write_manifest(tmp_path / "m.csv", [bad])
+
+    def test_empty_image_path_rejected_by_line(self, tmp_path):
+        path = write_manifest_text(tmp_path, HEADER + "\n,VD,0,0,10,10,,,,,,,,,\n")
+        with pytest.raises(ManifestError, match="line 2: empty image_path"):
+            dataset.load_manifest(path)
+
 
 class TestSplit5050:
     def test_1170_halves_exactly(self):
@@ -210,34 +244,36 @@ class TestSubjectDisjointSplit:
 
 
 class TestThreeClassMapping:
+    """The 7 -> 3 mapping is RunConfig.map3, applied by cli._label."""
+
     def test_default_mapping(self):
         expect = {
             EacClass.VD: ThreeClass.CENTER,
             EacClass.AR: ThreeClass.LEFT,
             EacClass.AC: ThreeClass.RIGHT,
         }
+        cfg = RunConfig(classes=3)
         for eac in EacClass:
             s = Sample("x.pgm", Box(0, 0, 1, 1), eac)
-            assert dataset.to_three_class(s, DEFAULT_THREE_CLASS_MAP) == expect.get(eac)
+            assert cli._label(cfg, s) == expect.get(eac)
 
     def test_missing_entry_rejected(self):
-        broken = dict(DEFAULT_THREE_CLASS_MAP)
-        del broken[EacClass.ID]
-        s = Sample("x.pgm", Box(0, 0, 1, 1), EacClass.VD)
-        with pytest.raises(ValueError, match="ID"):
-            dataset.to_three_class(s, broken)
+        cfg = RunConfig(classes=3)
+        del cfg.map3[EacClass.ID]
+        with pytest.raises(ConfigError, match="ID"):
+            cfg.validate()
 
     def test_filtered_subset_size(self):
+        cfg = RunConfig(classes=3)
         samples = [Sample("x.pgm", Box(0, 0, 1, 1), eac) for eac in EacClass] * 3
-        kept = [s for s in samples
-                if dataset.to_three_class(s, DEFAULT_THREE_CLASS_MAP) is not None]
+        kept = [s for s in samples if cli._label(cfg, s) is not None]
         assert len(kept) == 9  # AR/VD/AC only
         assert len(kept) <= len(samples)
 
     def test_no_exclusions_keeps_every_sample(self):
-        everything = {c: ThreeClass(int(c) % 3) for c in EacClass}
+        cfg = RunConfig(classes=3, map3={c: ThreeClass(int(c) % 3) for c in EacClass})
         samples = [Sample("x.pgm", Box(0, 0, 1, 1), eac) for eac in EacClass] * 2
-        kept = [s for s in samples if dataset.to_three_class(s, everything) is not None]
+        kept = [s for s in samples if cli._label(cfg, s) is not None]
         assert len(kept) == len(samples)
 
 
