@@ -1,8 +1,8 @@
 """Training-set expansion: rotations, Gaussian blur, and rescaling.
 
-All transforms preserve image dimensions and labels and are exact no-ops at
-their identity parameters. They run on extracted eye patches, never on the
-test split.
+All transforms preserve image dimensions and labels, and at their identity
+parameters return finite uint8 or float32 pixels unchanged (-0.0 may read
++0.0). They run on extracted eye patches, never on the test split.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ class AugmentPolicy:
         if any(f <= 0 for f in self.scale_factors):
             raise ValueError("scale factors must be > 0")
 
-    @property
-    def variants_per_sample(self) -> int:
-        return len(self.rotation_degrees) + len(self.blur_sigmas) + len(self.scale_factors)
-
 
 def _restore_dtype(out: np.ndarray, like: np.ndarray) -> np.ndarray:
     if like.dtype == np.uint8:
@@ -50,8 +46,6 @@ def rotate(img: np.ndarray, degrees: float) -> np.ndarray:
     """
     if img.ndim != 2:
         raise ValueError("rotate expects a single-channel image")
-    if degrees == 0:
-        return img.copy()
     h, w = img.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     rad = math.radians(degrees)
@@ -93,14 +87,12 @@ def rescale(img: np.ndarray, factor: float) -> np.ndarray:
     """Scale jitter that keeps the native patch size.
 
     factor < 1 crops the central factor-fraction and resizes it back up;
-    factor > 1 resizes up and center-crops. factor == 1 is the identity.
+    factor >= 1 resizes up and center-crops.
     """
     if factor <= 0:
         raise ValueError("scale factor must be > 0")
     if img.ndim != 2:
         raise ValueError("rescale expects a single-channel image")
-    if factor == 1.0:
-        return img.copy()
     h, w = img.shape
     if factor < 1:
         ch = int(math.floor(h * factor + 0.5))

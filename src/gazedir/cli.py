@@ -151,7 +151,7 @@ def cmd_eval(args) -> int:
     if not test:
         raise ConfigError("test split is empty")
     triples = _triples(_eye_pairs(cfg, test, "test", eye))
-    result = fusion.evaluate(model_left, model_right, triples, eye=eye)
+    result = fusion.evaluate(model_left, model_right, triples)
     names = dataset.class_names(cfg.classes)
     paths = fusion.emit_report(result, names, _report_meta(cfg, eye=eye), cfg.report_dir)
     print(f"eye={eye} accuracy {result.accuracy:.4f} over {len(triples)} samples")
@@ -175,7 +175,7 @@ def cmd_predict(args) -> int:
     pairs = dataset.make_eye_pairs([sample], cfg.mode, cfg.patch_hw, split="test", eye=eye)
     model_left, model_right = _load_models(cfg, cfg.model_dir, eye)
     (x_left, x_right, _), = _triples(pairs)
-    score = fusion.score_pair(model_left, model_right, x_left, x_right, eye)
+    score = fusion.score_pair(model_left, model_right, x_left, x_right)
     label = fusion.predict_class(score)
     out = {
         "class": dataset.class_names(cfg.classes)[label],
@@ -199,7 +199,7 @@ def cmd_bench(args) -> int:
     for i in range(args.frames):
         eac = EacClass(i % 7)
         frames.append((synth.render_face(rng, eac), synth.FACE, landmarks))
-    report = fusion.bench_latency(model_left, model_right, frames, args.warmup, cfg.mode, (h, w))
+    report = fusion.bench_latency(model_left, model_right, frames, args.warmup, cfg.mode)
     print(f"{report['n_frames']} frames after {report['warmup']} warmup, patch {h}x{w}")
     print(f"{'stage':<14}{'mean ms':>10}{'p50 ms':>10}{'p95 ms':>10}")
     for name, s in (*report["stages"].items(), ("end_to_end", report["end_to_end"])):
@@ -281,6 +281,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, FloatingPointError) as exc:
         # FloatingPointError: non-finite scores or a diverged training loss
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a config value that sizes an array beyond memory
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

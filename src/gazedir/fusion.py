@@ -67,31 +67,27 @@ class EvalResult:
     confusion: ConfusionMatrix
 
 
-def score_pair(model_left, model_right, x_left, x_right, eye: str) -> np.ndarray:
-    """Scores one eye pair: one network's softmax for eye "left" or "right",
-    the fused mean of both for "both"; an unused eye's tensor may be None."""
-    use_left, use_right = dataset.eye_selection(eye)
-    if use_left and use_right:
-        return fuse_scores(model_left.forward(x_left), model_right.forward(x_right))
-    return model_left.forward(x_left) if use_left else model_right.forward(x_right)
+def score_pair(model_left, model_right, x_left, x_right) -> np.ndarray:
+    """Scores one eye pair: the fused mean of both networks' softmax, or one
+    network's softmax when the other model is None (its tensor may be None)."""
+    if model_left is None:
+        return model_right.forward(x_right)
+    if model_right is None:
+        return model_left.forward(x_left)
+    return fuse_scores(model_left.forward(x_left), model_right.forward(x_right))
 
 
-def evaluate(model_left, model_right, samples, eye: str = "both") -> EvalResult:
-    """Deterministic metrics over (left_tensor, right_tensor, label) triples.
-
-    eye selects fused scoring ("both") or a single network ("left"/"right").
-    """
-    selection = zip(dataset.SIDES, (model_left, model_right), dataset.eye_selection(eye))
-    used = [(side, model) for side, model, wanted in selection if wanted]
-    for side, model in used:
-        if model is None:
-            raise ValueError(f"{side} model required")
-    n_classes = [model.n_classes for _, model in used]
+def evaluate(model_left, model_right, samples) -> EvalResult:
+    """Deterministic metrics over (left_tensor, right_tensor, label) triples,
+    each scored by score_pair: fused, or by the one model that is not None."""
+    n_classes = [model.n_classes for model in (model_left, model_right) if model is not None]
+    if not n_classes:
+        raise ValueError("evaluate needs a left or a right model")
     if len(set(n_classes)) > 1:
         raise ValueError(f"class-count mismatch between models: {n_classes[0]} vs {n_classes[1]}")
     cm = ConfusionMatrix(n_classes[0])
     for xl, xr, label in samples:
-        cm.add(int(label), predict_class(score_pair(model_left, model_right, xl, xr, eye)))
+        cm.add(int(label), predict_class(score_pair(model_left, model_right, xl, xr)))
     return EvalResult(cm.accuracy, cm.per_class_accuracy, cm)
 
 
@@ -102,8 +98,9 @@ def evaluate(model_left, model_right, samples, eye: str = "both") -> EvalResult:
 BENCH_STAGES = ("crop_resize", "normalize", "forward_left", "forward_right", "fuse")
 
 
-def _run_stages(model_left, model_right, frame, mode, patch_hw, timings):
-    """One frame through crop+resize / normalize / two forwards / fuse."""
+def _run_stages(model_left, model_right, frame, mode, patch_hw) -> list[float]:
+    """One frame through crop+resize / normalize / two forwards / fuse; returns
+    the perf_counter stamps before, between and after the stages."""
     gray, face, landmarks = frame
     sample = dataset.Sample("<frame>", face, dataset.EacClass.VD, landmarks)
 
@@ -116,21 +113,17 @@ def _run_stages(model_left, model_right, frame, mode, patch_hw, timings):
     t3 = time.perf_counter()
     score_r = model_right.forward(x_r)
     t4 = time.perf_counter()
-    fused = fuse_scores(score_l, score_r)
-    predict_class(fused)
+    predict_class(fuse_scores(score_l, score_r))
     t5 = time.perf_counter()
-
-    if timings is not None:
-        for name, dt in zip(BENCH_STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
-            timings[name].append(dt * 1000.0)
-        timings["end_to_end"].append((t5 - t0) * 1000.0)
+    return [t0, t1, t2, t3, t4, t5]
 
 
-def bench_latency(model_left, model_right, frames, warmup: int, mode: str, patch_hw) -> dict:
+def bench_latency(model_left, model_right, frames, warmup: int, mode: str) -> dict:
     """Wall-clock per-stage timings in ms over all frames, after warmup iterations.
 
-    Strictly single-threaded. Every supplied frame contributes exactly one
-    timing; warmup passes cycle over the same frames untimed. Returns
+    Patches are cropped at the models' input size. Strictly single-threaded.
+    Every supplied frame contributes exactly one timing; warmup passes cycle
+    over the same frames untimed. Returns
     {"stages": {name: stats}, "end_to_end": stats, "fps", "n_frames", "warmup"}
     with stats {"mean_ms", "p50_ms", "p95_ms"}.
     """
@@ -138,23 +131,19 @@ def bench_latency(model_left, model_right, frames, warmup: int, mode: str, patch
         raise ValueError("need at least one frame to benchmark")
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
+    hw = model_left.input_shape[1:]
     for i in range(warmup):
-        _run_stages(model_left, model_right, frames[i % len(frames)], mode, patch_hw, None)
-    timings: dict[str, list[float]] = {name: [] for name in (*BENCH_STAGES, "end_to_end")}
-    for frame in frames:
-        _run_stages(model_left, model_right, frame, mode, patch_hw, timings)
+        _run_stages(model_left, model_right, frames[i % len(frames)], mode, hw)
+    stamps = np.array([_run_stages(model_left, model_right, f, mode, hw) for f in frames])
 
-    def stats(values: list[float]) -> dict:
-        arr = np.asarray(values)
-        return {
-            "mean_ms": float(arr.mean()),
-            "p50_ms": float(np.percentile(arr, 50)),
-            "p95_ms": float(np.percentile(arr, 95)),
-        }
+    def stats(ms: np.ndarray) -> dict:
+        p50, p95 = np.percentile(ms, (50, 95))
+        return {"mean_ms": float(ms.mean()), "p50_ms": float(p50), "p95_ms": float(p95)}
 
-    end_to_end = stats(timings["end_to_end"])
+    stage_ms = np.diff(stamps, axis=1).T * 1000.0
+    end_to_end = stats((stamps[:, -1] - stamps[:, 0]) * 1000.0)
     return {
-        "stages": {name: stats(timings[name]) for name in BENCH_STAGES},
+        "stages": {name: stats(ms) for name, ms in zip(BENCH_STAGES, stage_ms)},
         "end_to_end": end_to_end,
         "fps": 1000.0 / end_to_end["mean_ms"],
         "n_frames": len(frames),

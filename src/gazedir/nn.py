@@ -58,10 +58,12 @@ def _conv_fwd(cols: np.ndarray, weights: np.ndarray, bias: np.ndarray, hw) -> np
     return out.reshape(b, out_ch, *hw)
 
 
-def _softmax_rows(logits2: np.ndarray) -> np.ndarray:
+def _softmax(logits2: np.ndarray):
+    """Row-wise softmax: (max-shifted logits, row sums of their exp, probabilities)."""
     shifted = logits2 - logits2.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    total = exp.sum(axis=1)
+    return shifted, total, exp / total[:, None]
 
 
 def softmax_ce(logits2: np.ndarray, labels: np.ndarray):
@@ -76,10 +78,7 @@ def softmax_ce(logits2: np.ndarray, labels: np.ndarray):
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= n):
         raise ValueError(f"labels must lie in [0, {n}), got {labels.min()}..{labels.max()}")
-    shifted = logits2 - logits2.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    total = exp.sum(axis=1)
-    probs = exp / total[:, None]
+    shifted, total, probs = _softmax(logits2)
     rows = np.arange(b)
     loss = float(np.sum(np.log(total) - shifted[rows, labels]))
     grad = probs.copy()
@@ -121,11 +120,40 @@ def _check_upstream(layer, upstream: np.ndarray, input_shape: tuple | None) -> N
         )
 
 
-class Conv2D:
+class _Params:
+    """Base of the layers with a weights tensor and a bias vector."""
+
+    n_params = 2  # tensors in params(), in constructor order
+
+    def __init__(self, weights: np.ndarray, bias: np.ndarray):
+        self.weights = weights
+        self.bias = bias
+        self.grad_weights = np.zeros_like(weights)
+        self.grad_bias = np.zeros_like(bias)
+
+    def params(self):
+        return [self.weights, self.bias]
+
+    def grads(self):
+        return [self.grad_weights, self.grad_bias]
+
+
+class _NoParams:
+    """Base of the layers without parameters."""
+
+    n_params = 0
+
+    def params(self):
+        return []
+
+    def grads(self):
+        return []
+
+
+class Conv2D(_Params):
     """Same-padded stride-1 cross-correlation; weights are (O, C, kh, kw)."""
 
     kind = "Conv2D"
-    n_params = 2  # tensors in params(), in constructor order
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
         if weights.ndim != 4:
@@ -135,10 +163,7 @@ class Conv2D:
             raise ValueError(f"kernel dims must be odd positive, got {kh}x{kw}")
         if bias.shape != (weights.shape[0],):
             raise ValueError("bias length must equal the number of output channels")
-        self.weights = weights
-        self.bias = bias
-        self.grad_weights = np.zeros_like(weights)
-        self.grad_bias = np.zeros_like(bias)
+        super().__init__(weights, bias)
         self._cols = None
         self._bwd_cols = None
         self._input_shape = None
@@ -182,24 +207,6 @@ class Conv2D:
         self._bwd_cols = _conv_cols(upstream, kh, kw, buf=self._bwd_cols)
         zero_bias = np.zeros(flipped.shape[0], dtype=upstream.dtype)
         return _conv_fwd(self._bwd_cols, flipped, zero_bias, (h, w)).reshape(cached)
-
-    def params(self):
-        return [self.weights, self.bias]
-
-    def grads(self):
-        return [self.grad_weights, self.grad_bias]
-
-
-class _NoParams:
-    """Base of the layers without parameters."""
-
-    n_params = 0
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
 
 
 class ReLU(_NoParams):
@@ -267,11 +274,10 @@ class MaxPool2(_NoParams):
         return grad
 
 
-class Dense:
+class Dense(_Params):
     """Fully connected layer; flattens each sample to 1-D (row-major)."""
 
     kind = "Dense"
-    n_params = 2
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
         if weights.ndim != 2 or bias.shape != (weights.shape[0],):
@@ -279,10 +285,7 @@ class Dense:
                 f"dense weights must be (out, in) with one bias per output, got "
                 f"weights {weights.shape} and bias {bias.shape}"
             )
-        self.weights = weights
-        self.bias = bias
-        self.grad_weights = np.zeros_like(weights)
-        self.grad_bias = np.zeros_like(bias)
+        super().__init__(weights, bias)
         self._input_shape = None
         self._flat = None
 
@@ -307,12 +310,6 @@ class Dense:
         self.grad_bias += upstream.sum(axis=0)
         return (upstream @ self.weights).reshape(self._input_shape)
 
-    def params(self):
-        return [self.weights, self.bias]
-
-    def grads(self):
-        return [self.grad_weights, self.grad_bias]
-
 
 class SoftmaxCE(_NoParams):
     """Terminal layer: softmax at inference, softmax+CE loss in training."""
@@ -325,7 +322,7 @@ class SoftmaxCE(_NoParams):
         return shape
 
     def forward(self, logits, cache=False):
-        return _softmax_rows(logits)
+        return _softmax(logits)[2]
 
 
 # a layer class's index here is its u8 tag in the model file

@@ -75,32 +75,41 @@ def read_pnm(path) -> np.ndarray:
     """Reads binary PGM (P5) or PPM (P6); returns uint8 (H,W) or (H,W,3).
 
     Samples of a file with maxval < 255 are rescaled to 0..255 as
-    floor(v * 255 / maxval + 0.5).
+    floor(v * 255 / maxval + 0.5). A malformed file raises ValueError naming it.
     """
     with open(path, "rb") as f:
         buf = f.read()
+    try:
+        return _parse_pnm(buf)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_pnm(buf: bytes) -> np.ndarray:
     magic, pos = _next_token(buf, 0)
     if magic not in (b"P5", b"P6"):
-        raise ValueError(f"{path}: unsupported raster format {magic!r}")
+        raise ValueError(f"unsupported raster format {magic!r}")
     fields = []
     for _ in range(3):
         tok, pos = _next_token(buf, pos)
+        if not tok.isdigit():  # ASCII decimal only; int() also takes b"+5" and b"1_0"
+            raise ValueError(f"PNM header field {tok!r} is not a decimal integer")
         fields.append(int(tok))
     width, height, maxval = fields
     if width < 1 or height < 1:
-        raise ValueError(f"{path}: bad dimensions {width}x{height}")
+        raise ValueError(f"bad dimensions {width}x{height}")
     if not 0 < maxval <= 255:
-        raise ValueError(f"{path}: only 8-bit rasters supported (maxval {maxval})")
+        raise ValueError(f"only 8-bit rasters supported (maxval {maxval})")
     pos += 1  # single whitespace byte after maxval
     channels = 1 if magic == b"P5" else 3
     count = width * height * channels
     raster = buf[pos : pos + count]
     if len(raster) != count:
-        raise ValueError(f"{path}: raster truncated")
+        raise ValueError("raster truncated")
     img = np.frombuffer(raster, dtype=np.uint8)
     if maxval != 255:
         if img.max() > maxval:
-            raise ValueError(f"{path}: sample above maxval {maxval}")
+            raise ValueError(f"sample above maxval {maxval}")
         # floor(v * 255 / maxval + 0.5) in exact integer arithmetic
         img = ((img.astype(np.uint32) * 510 + maxval) // (2 * maxval)).astype(np.uint8)
     shape = (height, width) if channels == 1 else (height, width, 3)

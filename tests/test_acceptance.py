@@ -169,7 +169,7 @@ class TestAcceptance:
             (synth.render_face(rng, dataset.EacClass(i % 7)), synth.FACE, lms)
             for i in range(100)
         ]
-        report = fusion.bench_latency(ml, mr, frames, 10, "roi", (42, 50))
+        report = fusion.bench_latency(ml, mr, frames, 10, "roi")
         inference_ms = (
             report["stages"]["forward_left"]["mean_ms"]
             + report["stages"]["forward_right"]["mean_ms"]

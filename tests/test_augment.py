@@ -3,6 +3,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gazedir import augment
 from gazedir.augment import AugmentPolicy
@@ -47,6 +50,44 @@ class TestRotate:
     def test_float_patch_keeps_dtype(self):
         img = np.random.default_rng(2).uniform(0, 255, size=(6, 6)).astype(np.float32)
         assert augment.rotate(img, 5.0).dtype == np.float32
+
+
+finite_patches = st.one_of(
+    hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=59)),
+    hnp.arrays(
+        np.float32, hnp.array_shapes(min_dims=2, max_dims=2, max_side=59),
+        elements=st.floats(allow_nan=False, allow_infinity=False, width=32),
+    ),
+)
+
+
+def unchanged(out, img):
+    """Same dtype and values. For finite pixels that is bit for bit, except
+    that a -0.0 pixel may come back as +0.0, as the lerp adds a zero tap."""
+    return out.dtype == img.dtype and np.array_equal(out, img)
+
+
+# one row or one column, with float32 values near the top of the range
+LINES = [np.arange(7, dtype=np.float32).reshape(shape) * 4.8e37 for shape in ((1, 7), (7, 1))]
+
+
+class TestIdentityParameters:
+    """The general paths return finite pixels unchanged at the identity
+    parameters, so they need no identity branch."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(img=finite_patches, degrees=st.sampled_from([0.0, -0.0]))
+    @example(img=LINES[0], degrees=0.0)
+    @example(img=LINES[1], degrees=-0.0)
+    def test_rotate_by_zero(self, img, degrees):
+        assert unchanged(augment.rotate(img, degrees), img)
+
+    @settings(max_examples=150, deadline=None)
+    @given(img=finite_patches)
+    @example(img=LINES[0])
+    @example(img=LINES[1])
+    def test_rescale_by_one(self, img):
+        assert unchanged(augment.rescale(img, 1.0), img)
 
 
 class TestGaussianBlur:
@@ -120,7 +161,6 @@ class TestPolicy:
         assert policy.rotation_degrees == (5.0, -5.0, 10.0, -10.0)
         assert policy.blur_sigmas == (0.5, 1.0)
         assert policy.scale_factors == (0.9, 1.1)
-        assert policy.variants_per_sample == 8
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -137,6 +177,11 @@ class TestPolicy:
     def test_non_finite_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError, match="finite"):
             AugmentPolicy(**kwargs)
+
+
+def per_source(policy):
+    """Entries expand writes per input patch: the original and its variants."""
+    return 1 + len(policy.rotation_degrees) + len(policy.blur_sigmas) + len(policy.scale_factors)
 
 
 def make_patches(n, split="train", seed=0):
@@ -160,9 +205,9 @@ class TestExpand:
     def test_labels_and_split_preserved(self):
         patches = make_patches(6, seed=1)
         out = augment.expand(patches, AugmentPolicy())
-        per_source = 1 + AugmentPolicy().variants_per_sample
+        n = per_source(AugmentPolicy())
         for i, patch in enumerate(out):
-            source = patches[i // per_source]
+            source = patches[i // n]
             assert patch.label == source.label
             assert patch.split == "train"
             assert patch.pixels.shape == source.pixels.shape
@@ -170,9 +215,9 @@ class TestExpand:
     def test_originals_kept_verbatim(self):
         patches = make_patches(3, seed=2)
         out = augment.expand(patches, AugmentPolicy())
-        per_source = 1 + AugmentPolicy().variants_per_sample
+        n = per_source(AugmentPolicy())
         for i, patch in enumerate(patches):
-            npt.assert_array_equal(out[i * per_source].pixels, patch.pixels)
+            npt.assert_array_equal(out[i * n].pixels, patch.pixels)
 
     def test_test_split_guarded(self):
         patches = make_patches(2) + make_patches(1, split="test")

@@ -98,3 +98,26 @@ def test_per_side_calls_match_the_pair_path(corpus, monkeypatch, mode, side):
         gray = preprocess.to_grayscale(preprocess.read_pnm(os.path.join(root, sample.image_path)))
         one = dataset.extract_patch(gray, sample, side, mode, hw)
         assert one.tobytes() == dataset.eye_pair(gray, sample, mode, hw)[k].tobytes()
+
+
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _f:
+    BENCH_WORKLOADS = [w["name"] for w in json.load(_f)["workloads"]]
+
+
+@pytest.mark.parametrize("name", BENCH_WORKLOADS)
+def test_workload_calls_run(tmp_path, monkeypatch, name):
+    """Each workload's set-up, four operations and check run against the
+    program at small input sizes, so a signature change under src/ that the
+    benchmark's calls no longer fit fails here too."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    gen = importlib.import_module("gen")
+    workloads = importlib.import_module("workloads")
+    monkeypatch.setattr(gen, "PREDICT_FRAMES", 6)
+    monkeypatch.setattr(gen, "VGA_IMAGES", 6)
+    monkeypatch.setattr(gen, "TRAIN_PER_CLASS", 2)
+    gz = gen.import_gazedir(ROOT)
+    gen.generate(gz, name, 5, str(tmp_path))
+    wl = workloads.WORKLOADS[name](gz, str(tmp_path), 5)
+    wl.setup()
+    assert [wl.op(i) for i in range(4)] == [True] * 4
+    assert wl.check() == (set(), [])

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gazedir import cli, dataset, nn, preprocess, synth
+from gazedir import augment, cli, dataset, nn, preprocess, synth
 from gazedir.augment import AugmentPolicy
 from gazedir.config import ConfigError, RunConfig, load_config
 
@@ -734,6 +734,25 @@ class TestRuntimeFailures:
         assert code == 1
         assert "diverged" in _single_error_line(capsys.readouterr().err)
         assert {p.name: p.read_bytes() for p in models.iterdir()} == before
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 27.3 TiB for an array", "error: out of memory: Unable to allocate"),
+        ("", "error: out of memory"),
+    ])
+    def test_out_of_memory_exit_1(self, corpus, tmp_path, capsys, monkeypatch, message, shown):
+        """An augmentation value can size an array beyond memory (`[augment]
+        scales = 100000` asks rescale for 27 TiB); the failure is simulated."""
+        def out_of_memory(img, factor):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(augment, "rescale", out_of_memory)
+        code = run([
+            "train", "--manifest", str(corpus / "manifest.csv"),
+            "--model-dir", str(tmp_path / "models"), "--epochs", "1",
+        ])
+        assert code == 1
+        assert _single_error_line(capsys.readouterr().err).startswith(shown)
+        assert not (tmp_path / "models" / cli.MODEL_LEFT).exists()
 
     def test_oversized_manifest_field_exit_1(self, tmp_path, capsys):
         manifest = tmp_path / "big.csv"

@@ -140,9 +140,9 @@ class TestEvaluate:
         ml = FixedModel([0.9, 0.1])
         mr = FixedModel([0.1, 0.9])
         triples = [(np.zeros(1), np.zeros(1), 0)]
-        assert fusion.evaluate(ml, mr, triples, eye="left").accuracy == 1.0
-        assert fusion.evaluate(ml, mr, triples, eye="right").accuracy == 0.0
-        assert fusion.evaluate(ml, None, triples, eye="left").accuracy == 1.0
+        assert fusion.evaluate(ml, None, triples).accuracy == 1.0
+        assert fusion.evaluate(None, mr, triples).accuracy == 0.0
+        assert fusion.evaluate(ml, None, [(np.zeros(1), None, 0)]).accuracy == 1.0
 
     def test_class_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="class-count"):
@@ -160,27 +160,41 @@ class TestEvaluate:
         assert a.accuracy == b.accuracy
         npt.assert_array_equal(a.confusion.counts, b.confusion.counts)
 
-    def test_bad_eye_rejected(self):
-        with pytest.raises(ValueError):
-            fusion.evaluate(FixedModel(np.zeros(3)), None, [], eye="up")
+    def test_no_model_rejected(self):
+        with pytest.raises(ValueError, match="left or a right model"):
+            fusion.evaluate(None, None, [(np.zeros(1), np.zeros(1), 0)])
 
-    @pytest.mark.parametrize("eye", ["left", "right", "both"])
-    def test_selected_model_required(self, eye):
-        with pytest.raises(ValueError, match="model required"):
-            fusion.evaluate(None, None, [(np.zeros(1), np.zeros(1), 0)], eye=eye)
+    def test_none_model_leaves_its_eye_unscored(self):
+        ml = FixedModel([0.9, 0.1])
+        mr = FixedModel([0.1, 0.9])
+        # a fused pair would score 0.5/0.5 and predict class 0 for either label
+        assert fusion.evaluate(None, mr, [(None, np.zeros(1), 1)]).accuracy == 1.0
+        assert fusion.evaluate(ml, None, [(np.zeros(1), None, 1)]).accuracy == 0.0
+        assert fusion.evaluate(ml, mr, [(np.zeros(1), np.zeros(1), 1)]).accuracy == 0.0
 
     def test_single_eye_class_count_from_its_model(self):
         triples = [(None, np.zeros(1), 1)]
-        result = fusion.evaluate(None, FixedModel([0.1, 0.9]), triples, eye="right")
+        result = fusion.evaluate(None, FixedModel([0.1, 0.9]), triples)
         assert result.confusion.n_classes == 2 and result.accuracy == 1.0
 
 
 class TestScorePair:
-    @pytest.mark.parametrize("eye", ["lft", "Both", ""])
-    def test_unknown_eye_rejected(self, eye):
-        ml, mr = FixedModel([0.8, 0.2]), FixedModel([0.2, 0.8])
-        with pytest.raises(ValueError, match="eye must be"):
-            fusion.score_pair(ml, mr, np.zeros(1), np.zeros(1), eye)
+    def test_both_models_fuse(self):
+        ml, mr = FixedModel([0.8, 0.2]), FixedModel([0.2, 0.6])
+        npt.assert_array_equal(
+            fusion.score_pair(ml, mr, np.zeros(1), np.zeros(1)), [0.5, 0.4]
+        )
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_none_model_scores_the_other_eye(self, side):
+        """The present network's softmax, untouched; the absent eye's tensor
+        is never read."""
+        present = FixedModel([0.8, 0.2])
+        if side == "left":
+            score = fusion.score_pair(present, None, np.zeros(1), None)
+        else:
+            score = fusion.score_pair(None, present, None, np.zeros(1))
+        assert score is present.scores
 
 
 class TestEmitReport:
@@ -254,7 +268,7 @@ class TestBenchLatency:
 
         ml = nn.build_gaze_net(15, 25, 7, seed=0)
         mr = nn.build_gaze_net(15, 25, 7, seed=1)
-        report = fusion.bench_latency(ml, mr, bench_frames(12), 3, "ert", (15, 25))
+        report = fusion.bench_latency(ml, mr, bench_frames(12), 3, "ert")
         assert report["n_frames"] == 12 and report["warmup"] == 3
         assert set(report["stages"]) == set(fusion.BENCH_STAGES)
         npt.assert_allclose(report["fps"], 1000.0 / report["end_to_end"]["mean_ms"], rtol=1e-9)
@@ -264,7 +278,7 @@ class TestBenchLatency:
 
         ml = nn.build_gaze_net(15, 25, 7, seed=0)
         mr = nn.build_gaze_net(15, 25, 7, seed=1)
-        report = fusion.bench_latency(ml, mr, bench_frames(10), 2, "ert", (15, 25))
+        report = fusion.bench_latency(ml, mr, bench_frames(10), 2, "ert")
         worst_stage = max(s["mean_ms"] for s in report["stages"].values())
         assert report["end_to_end"]["mean_ms"] >= worst_stage
 
@@ -274,7 +288,7 @@ class TestBenchLatency:
         ml = nn.build_gaze_net(15, 25, 7, seed=0)
         mr = nn.build_gaze_net(15, 25, 7, seed=1)
         frames = bench_frames(8)
-        base = fusion.bench_latency(ml, mr, frames, 2, "ert", (15, 25))
+        base = fusion.bench_latency(ml, mr, frames, 2, "ert")
 
         slow_normalize = preprocess.normalize
 
@@ -283,7 +297,7 @@ class TestBenchLatency:
             return slow_normalize(img)
 
         monkeypatch.setattr(preprocess, "normalize", delayed)
-        slowed = fusion.bench_latency(ml, mr, frames, 2, "ert", (15, 25))
+        slowed = fusion.bench_latency(ml, mr, frames, 2, "ert")
         # two normalize calls per frame -> at least ~10 ms extra
         assert slowed["stages"]["normalize"]["mean_ms"] > base["stages"]["normalize"]["mean_ms"] + 8
         assert slowed["end_to_end"]["mean_ms"] > base["end_to_end"]["mean_ms"] + 8
@@ -295,11 +309,11 @@ class TestBenchLatency:
         ml = nn.build_gaze_net(15, 25, 7, seed=0)
         mr = nn.build_gaze_net(15, 25, 7, seed=1)
         with pytest.raises(ValueError, match=f"mode must be roi or ert, got '{mode}'"):
-            fusion.bench_latency(ml, mr, bench_frames(2), 0, mode, (15, 25))
+            fusion.bench_latency(ml, mr, bench_frames(2), 0, mode)
 
     def test_empty_frames_rejected(self):
         with pytest.raises(ValueError):
-            fusion.bench_latency(None, None, [], 0, "roi", (42, 50))
+            fusion.bench_latency(None, None, [], 0, "roi")
 
     def test_larger_patch_slows_forward(self):
         from gazedir import nn
@@ -309,6 +323,32 @@ class TestBenchLatency:
         for hw in ((15, 25), (42, 50)):
             ml = nn.build_gaze_net(*hw, 7, seed=0)
             mr = nn.build_gaze_net(*hw, 7, seed=1)
-            report = fusion.bench_latency(ml, mr, frames, 5, "roi", hw)
+            report = fusion.bench_latency(ml, mr, frames, 5, "roi")
             means[hw] = report["stages"]["forward_left"]["mean_ms"]
         assert means[(42, 50)] > means[(15, 25)]
+
+    def test_crops_at_the_models_input_shape(self, monkeypatch):
+        """ert's default patch is 15x25; the 42x50 models set the crop."""
+        from gazedir import dataset, nn
+
+        sizes = []
+        eye_pair = dataset.eye_pair
+
+        def spy(gray, sample, mode, patch_hw, *rest):
+            sizes.append(tuple(patch_hw))
+            return eye_pair(gray, sample, mode, patch_hw, *rest)
+
+        monkeypatch.setattr(dataset, "eye_pair", spy)
+        ml = nn.build_gaze_net(42, 50, 7, seed=0)
+        mr = nn.build_gaze_net(42, 50, 7, seed=1)
+        report = fusion.bench_latency(ml, mr, bench_frames(3), 1, "ert")
+        assert report["n_frames"] == 3
+        assert sizes == [(42, 50)] * 4
+
+    def test_models_of_different_shapes_rejected(self):
+        from gazedir import nn
+
+        ml = nn.build_gaze_net(15, 25, 7, seed=0)
+        mr = nn.build_gaze_net(42, 50, 7, seed=1)
+        with pytest.raises(ValueError, match="does not match model input"):
+            fusion.bench_latency(ml, mr, bench_frames(2), 0, "ert")

@@ -388,6 +388,16 @@ class TestSoftmaxCE:
         numeric = central_diff(lambda v: softmax_ce1(v, 2)[0], logits)
         assert rel_err(grad, numeric) < 1e-7
 
+    def test_inference_layer_is_the_training_softmax(self):
+        """SoftmaxCE.forward and softmax_ce share one softmax: bit-equal rows."""
+        rng = np.random.default_rng(14)
+        for dtype in (np.float32, np.float64):
+            z = rng.uniform(-1e3, 1e3, size=(6, 7)).astype(dtype)
+            y = rng.integers(0, 7, size=6)
+            probs = nn.SoftmaxCE().forward(z)
+            assert probs.dtype == dtype
+            assert probs.tobytes() == nn.softmax_ce(z, y)[1].tobytes()
+
     def test_out_of_range_class(self):
         with pytest.raises(ValueError):
             softmax_ce1(np.zeros(3), 3)

@@ -79,7 +79,8 @@ class TestPnmCodec:
         path.write_bytes(bytes(blob[:cut]))
         try:
             img = preprocess.read_pnm(path)
-        except ValueError:
+        except ValueError as exc:
+            assert str(path) in str(exc)
             return
         assert img.dtype == np.uint8 and img.ndim in (2, 3)
 
