@@ -87,7 +87,8 @@ def rescale(img: np.ndarray, factor: float) -> np.ndarray:
     """Scale jitter that keeps the native patch size.
 
     factor < 1 crops the central factor-fraction and resizes it back up;
-    factor >= 1 resizes up and center-crops.
+    factor >= 1 samples the central h x w of the image resized up by factor,
+    so memory stays h x w for any factor.
     """
     if factor <= 0:
         raise ValueError("scale factor must be > 0")
@@ -105,9 +106,12 @@ def rescale(img: np.ndarray, factor: float) -> np.ndarray:
     else:
         rh = max(int(math.floor(h * factor + 0.5)), h)
         rw = max(int(math.floor(w * factor + 0.5)), w)
-        big = preprocess.resize_bilinear(img, out_w=rw, out_h=rh)
         y0, x0 = (rh - h) // 2, (rw - w) // 2
-        out = big[y0 : y0 + h, x0 : x0 + w]
+        # resize_bilinear's grid for rh x rw, restricted to the centre
+        xs = np.clip((np.arange(x0, x0 + w) + 0.5) * (w / rw) - 0.5, 0, w - 1)
+        ys = np.clip((np.arange(y0, y0 + h) + 0.5) * (h / rh) - 0.5, 0, h - 1)
+        # float32, as resize_bilinear returns, before the dtype is restored
+        out = preprocess.bilinear_sample(img, xs[None, :], ys[:, None]).astype(np.float32)
     return _restore_dtype(out, img)
 
 

@@ -2,8 +2,10 @@
 
 A manifest is a CSV binding each image to its face box, optional eye-corner
 landmarks, gaze class, and optional subject id. Rows become Samples; Samples
-become per-eye patches via the preprocess chain. The 7 -> 3 class mapping is
-run configuration, in `config` (RunConfig.map3).
+become per-eye patches via the preprocess chain: each decoded image is cropped
+to its eye boxes, each crop is greyed, and each grey crop is resized to the
+patch size, so a colour frame is never greyed whole. The 7 -> 3 class mapping
+is run configuration, in `config` (RunConfig.map3).
 """
 
 from __future__ import annotations
@@ -268,22 +270,25 @@ def eye_boxes(sample: Sample, mode: str, eye: str) -> tuple:
 
 
 def eye_pair(
-    gray: np.ndarray, sample: Sample, mode: str, patch_hw: tuple[int, int], eye: str = "both"
+    img: np.ndarray, sample: Sample, mode: str, patch_hw: tuple[int, int], eye: str = "both"
 ) -> tuple:
-    """(left, right) patches of one decoded image, cropped and resized to
-    patch_hw; an eye that `eye` does not select is None and is not cropped."""
+    """(left, right) patches of one decoded (H, W) or (H, W, 3) image: each eye
+    box is cropped, the crop greyed, and the grey crop resized to patch_hw. Luma
+    is per pixel, so this equals greying the whole frame first. An eye that
+    `eye` does not select is None and is not cropped."""
     h, w = patch_hw
     return tuple(
-        None if box is None else preprocess.resize_bilinear(preprocess.crop(gray, box), w, h)
+        None if box is None
+        else preprocess.resize_bilinear(preprocess.to_grayscale(preprocess.crop(img, box)), w, h)
         for box in eye_boxes(sample, mode, eye)
     )
 
 
 def extract_patch(
-    gray: np.ndarray, sample: Sample, side: str, mode: str, patch_hw: tuple[int, int]
+    img: np.ndarray, sample: Sample, side: str, mode: str, patch_hw: tuple[int, int]
 ) -> np.ndarray:
     """Crop one eye and resize to patch_hw; the other eye is not cropped."""
-    return eye_pair(gray, sample, mode, patch_hw, eye=side)[SIDES.index(side)]
+    return eye_pair(img, sample, mode, patch_hw, eye=side)[SIDES.index(side)]
 
 
 def make_eye_pairs(
@@ -300,10 +305,9 @@ def make_eye_pairs(
     out: tuple[list, list] = ([], [])
     for i, sample in enumerate(samples):
         img = preprocess.read_pnm(os.path.join(image_root, sample.image_path))
-        gray = preprocess.to_grayscale(img)
         label = int(sample.eac) if labels is None else int(labels[i])
         try:
-            pair = eye_pair(gray, sample, mode, hw, eye)
+            pair = eye_pair(img, sample, mode, hw, eye)
         except ValueError as exc:
             raise ValueError(f"{sample.image_path}: {exc}") from None
         for patches, pixels in zip(out, pair):

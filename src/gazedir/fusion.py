@@ -101,11 +101,11 @@ BENCH_STAGES = ("crop_resize", "normalize", "forward_left", "forward_right", "fu
 def _run_stages(model_left, model_right, frame, mode, patch_hw) -> list[float]:
     """One frame through crop+resize / normalize / two forwards / fuse; returns
     the perf_counter stamps before, between and after the stages."""
-    gray, face, landmarks = frame
+    img, face, landmarks = frame
     sample = dataset.Sample("<frame>", face, dataset.EacClass.VD, landmarks)
 
     t0 = time.perf_counter()
-    patches = dataset.eye_pair(gray, sample, mode, patch_hw)
+    patches = dataset.eye_pair(img, sample, mode, patch_hw)
     t1 = time.perf_counter()
     x_l, x_r = (preprocess.normalize(p) for p in patches)
     t2 = time.perf_counter()

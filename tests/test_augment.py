@@ -1,5 +1,7 @@
 """Rotation, blur, rescale, and training-set expansion."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gazedir import augment
+from gazedir import augment, preprocess
 from gazedir.augment import AugmentPolicy
 from gazedir.dataset import EyePatch
 
@@ -118,7 +120,36 @@ class TestGaussianBlur:
             augment.gaussian_blur(np.zeros((4, 4), dtype=np.uint8), -0.1)
 
 
+def rescale_up_by_full_resize(img, factor):
+    """Reference for factor >= 1: resize the whole patch up to
+    round(h*f) x round(w*f), cut its h x w centre, and restore the dtype."""
+    h, w = img.shape
+    rh = max(int(math.floor(h * factor + 0.5)), h)
+    rw = max(int(math.floor(w * factor + 0.5)), w)
+    big = preprocess.resize_bilinear(img, out_w=rw, out_h=rh)
+    y0, x0 = (rh - h) // 2, (rw - w) // 2
+    out = big[y0 : y0 + h, x0 : x0 + w]
+    if img.dtype == np.uint8:
+        return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+    return out.astype(img.dtype)
+
+
 class TestRescale:
+    @settings(max_examples=200, deadline=None)
+    @given(img=finite_patches, factor=st.floats(1.0, 5.0))
+    @example(img=LINES[0], factor=1.1)
+    @example(img=LINES[1], factor=4.99)
+    def test_upscale_samples_the_full_resize_centre(self, img, factor):
+        out = augment.rescale(img, factor)
+        ref = rescale_up_by_full_resize(img, factor)
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+    def test_huge_factor_keeps_patch_size(self):
+        # the full resize would be 1.5e6 x 2.5e6 pixels
+        img = np.random.default_rng(10).integers(0, 256, size=(15, 25)).astype(np.uint8)
+        out = augment.rescale(img, 1e5)
+        assert out.shape == img.shape and out.dtype == np.uint8
+
     def test_factor_one_is_identity(self):
         img = np.random.default_rng(6).integers(0, 256, size=(8, 8)).astype(np.uint8)
         npt.assert_array_equal(augment.rescale(img, 1.0), img)

@@ -389,6 +389,59 @@ class TestDecodeOnce:
         assert not set(train) & set(decoded)
 
 
+class TestColourCorpus:
+    """A P6 corpus of R=G=B=g pixels runs exactly as the P5 corpus it was
+    written from, since the Rec.601 luma of (g, g, g) is g."""
+
+    @pytest.mark.parametrize("mode", ["roi", "ert"])
+    def test_p6_runs_match_p5_and_no_frame_is_greyed_whole(
+            self, tmp_path, monkeypatch, capsys, mode):
+        p5, p6 = tmp_path / "p5", tmp_path / "p6"
+        assert run(["synth", "--out", str(p5), "--n-per-class", "3", "--seed", "0"]) == 0
+        samples = dataset.load_manifest(p5 / "manifest.csv")
+        colour = [dataclasses.replace(s, image_path=s.image_path[:-3] + "ppm") for s in samples]
+        p6.mkdir()
+        for grey, rgb in zip(samples, colour):
+            pixels = preprocess.read_pnm(p5 / grey.image_path)
+            preprocess.write_ppm(p6 / rgb.image_path, np.repeat(pixels[..., None], 3, axis=2))
+        dataset.write_manifest(p6 / "manifest.csv", colour)
+        capsys.readouterr()
+
+        greyed = []
+        to_grayscale = preprocess.to_grayscale
+
+        def spy(img):
+            greyed.append(img.shape[:2])
+            return to_grayscale(img)
+
+        monkeypatch.setattr(preprocess, "to_grayscale", spy)
+        face = synth.FACE
+        lm = synth.canonical_landmarks()
+        landmarks = ",".join(str(v) for v in (*lm.left_outer, *lm.left_inner,
+                                              *lm.right_inner, *lm.right_outer))
+
+        def outputs(root, image):
+            # relative paths, so the reports' config echoes match too
+            monkeypatch.chdir(root)
+            common = ["--manifest", "manifest.csv", "--model-dir", "models",
+                      "--mode", mode, "--seed", "1"]
+            assert run(["train", *common, "--epochs", "1"]) == 0
+            for eye in dataset.EYES:
+                assert run(["eval", *common, "--report-dir", f"reports/{eye}", "--eye", eye]) == 0
+                assert run([
+                    "predict", "--image", image, "--face", f"{face.x},{face.y},{face.w},{face.h}",
+                    "--landmarks", landmarks, "--model-dir", "models", "--mode", mode,
+                    "--eye", eye,
+                ]) == 0
+            files = {str(p.relative_to(root)): p.read_bytes()
+                     for d in ("models", "reports") for p in sorted((root / d).rglob("*"))
+                     if p.is_file()}
+            return files, capsys.readouterr()
+
+        assert outputs(p6, colour[0].image_path) == outputs(p5, samples[0].image_path)
+        assert greyed and (synth.CANVAS, synth.CANVAS) not in greyed
+
+
 class TestEvalCommand:
     def test_report_files(self, trained, corpus):
         reports = trained / "reports"
@@ -740,8 +793,8 @@ class TestRuntimeFailures:
         ("", "error: out of memory"),
     ])
     def test_out_of_memory_exit_1(self, corpus, tmp_path, capsys, monkeypatch, message, shown):
-        """An augmentation value can size an array beyond memory (`[augment]
-        scales = 100000` asks rescale for 27 TiB); the failure is simulated."""
+        """An array sized beyond memory ends the run with one error line; the
+        failure is simulated inside augmentation."""
         def out_of_memory(img, factor):
             raise MemoryError(message)
 

@@ -1,11 +1,13 @@
 """Manifest parsing, splits, label mapping, and eye-sample materialization."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gazedir import cli, dataset, preprocess, synth
 from gazedir.config import ConfigError, RunConfig
@@ -345,8 +347,8 @@ class TestMakeEyeSamples:
 
 
 def _eye_pair(root, sample, mode, eye):
-    gray = preprocess.to_grayscale(preprocess.read_pnm(f"{root}/{sample.image_path}"))
-    return dataset.eye_pair(gray, sample, mode, (15, 25), eye)
+    img = preprocess.read_pnm(f"{root}/{sample.image_path}")
+    return dataset.eye_pair(img, sample, mode, (15, 25), eye)
 
 
 # every dataset entry point that takes a mode and an eye, as (root, sample, mode, eye)
@@ -397,3 +399,46 @@ class TestRunChoices:
         left, right = dataset.make_eye_pairs(samples, "ert", image_root=root, eye="left")
         assert len(left) == len(right) == len(samples)
         assert all(p is not None for p in left) and all(p is None for p in right)
+
+
+@st.composite
+def colour_frames(draw):
+    """A random (H, W, 3) uint8 frame and a sample whose face box and eye
+    corners may put an eye box over any edge of it, or off it."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rgb = draw(hnp.arrays(np.uint8, (h, w, 3)))
+    face = Box(draw(st.integers(-w, w)), draw(st.integers(-h, h)),
+               draw(st.integers(4, 3 * w + 4)), draw(st.integers(4, 3 * h + 4)))
+    corners = [(draw(st.floats(-8, w + 8)), draw(st.floats(-8, h + 8))) for _ in range(4)]
+    return rgb, Sample("<frame>", face, EacClass.VD, preprocess.EyeLandmarks(*corners))
+
+
+class TestColourInput:
+    """eye_pair greys each eye crop, never the whole frame. Luma is per
+    pixel, so the patches equal those of greying the frame first."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(frame=colour_frames(), mode=st.sampled_from(list(dataset.PATCH_HW)),
+           eye=st.sampled_from(dataset.EYES),
+           patch_hw=st.tuples(st.integers(1, 8), st.integers(1, 8)))
+    def test_colour_equals_grey_then_crop(self, frame, mode, eye, patch_hw):
+        rgb, sample = frame
+
+        def patches(img):
+            try:
+                pair = dataset.eye_pair(img, sample, mode, patch_hw, eye)
+            except ValueError as exc:  # a box off the frame, or coincident corners
+                return str(exc)
+            return [None if p is None else p.tobytes() for p in pair]
+
+        grey_first = patches(preprocess.to_grayscale(rgb))
+        with mock.patch.object(preprocess, "to_grayscale", wraps=preprocess.to_grayscale) as spy:
+            crop_first = patches(rgb)
+        assert crop_first == grey_first
+        if isinstance(crop_first, list):
+            assert [p is None for p in crop_first] == [not s for s in dataset.eye_selection(eye)]
+            # one call per selected eye, each on that eye's colour crop
+            boxes = [b for b in dataset.eye_boxes(sample, mode, eye) if b is not None]
+            assert [c.args[0].shape for c in spy.call_args_list] == [
+                preprocess.crop(rgb, b).shape for b in boxes
+            ]
