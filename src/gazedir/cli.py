@@ -51,7 +51,7 @@ def _eye_pairs(cfg: RunConfig, samples: list[dataset.Sample], split: str, eye: s
     """(left, right) patch lists of the samples; each image is decoded once."""
     labels = [_label(cfg, s) for s in samples]
     return dataset.make_eye_pairs(
-        samples, cfg.mode, cfg.patch_hw, cfg.resolved_image_root(), split, labels, eye
+        samples, cfg.mode, cfg.resolved_image_root(), split, labels, eye
     )
 
 
@@ -172,7 +172,7 @@ def cmd_predict(args) -> int:
     face = dataset.parse_face(args.face.split(","))
     landmarks = dataset.parse_landmarks(args.landmarks.split(",")) if args.landmarks else None
     sample = dataset.Sample(args.image, face, EacClass.VD, landmarks)
-    pairs = dataset.make_eye_pairs([sample], cfg.mode, cfg.patch_hw, split="test", eye=eye)
+    pairs = dataset.make_eye_pairs([sample], cfg.mode, split="test", eye=eye)
     model_left, model_right = _load_models(cfg, cfg.model_dir, eye)
     (x_left, x_right, _), = _triples(pairs)
     score = fusion.score_pair(model_left, model_right, x_left, x_right)

@@ -74,8 +74,6 @@ class RunConfig:
     image_root: str | None = _ini("data", str, None)
     mode: str = _ini("data", str, "ert")
     classes: int = _ini("data", int, 7)
-    patch_h: int | None = _ini("data", int, None)  # None -> mode default
-    patch_w: int | None = _ini("data", int, None)
     subject_split: bool = _ini("data", _parse_bool, False)
     lr: float = _ini("train", float, 0.01)
     batch_size: int = _ini("train", int, 32)
@@ -90,9 +88,7 @@ class RunConfig:
 
     @property
     def patch_hw(self) -> tuple[int, int]:
-        dh, dw = default_patch_hw(self.mode)
-        return (dh if self.patch_h is None else self.patch_h,
-                dw if self.patch_w is None else self.patch_w)
+        return default_patch_hw(self.mode)
 
     @property
     def policy(self) -> AugmentPolicy:
@@ -107,13 +103,11 @@ class RunConfig:
 
     def validate(self) -> None:
         try:
-            h, w = self.patch_hw  # an unknown mode fails here
+            self.patch_hw  # an unknown mode fails here
             class_names(self.classes)
             self.policy
         except ValueError as exc:
             raise ConfigError(str(exc))
-        if h < 8 or w < 8:
-            raise ConfigError(f"patch {h}x{w} too small; the network needs >= 8x8")
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ConfigError(f"lr must be a finite number >= 0, got {self.lr}")
         if self.batch_size < 1:
@@ -140,7 +134,6 @@ class RunConfig:
     def as_dict(self) -> dict:
         """JSON-friendly echo of every effective field."""
         echo = {name: getattr(self, name) for _, name, _ in _FIELDS}
-        echo["patch_h"], echo["patch_w"] = self.patch_hw
         echo["image_root"] = self.resolved_image_root()
         echo = {name: list(v) if isinstance(v, tuple) else v for name, v in echo.items()}
         echo["map3"] = {c.name: "excluded" if self.map3[c] is None else self.map3[c].name

@@ -103,6 +103,8 @@ def load_manifest(path) -> list[Sample]:
                     bad.append(f"line {reader.line_num}: {exc}")
         except csv.Error as exc:  # e.g. a field above the csv module's size limit
             raise ManifestError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:  # decoded in blocks, so no line number
+            raise ManifestError(f"{path}: {exc}") from None
     if header is None:
         raise ManifestError(f"{path}: missing header row")
     if bad:
@@ -223,7 +225,7 @@ def split_subject_disjoint(samples: list[Sample], seed: int) -> SplitPair:
     return SplitPair(train=train, test=test)
 
 
-# run choices: crop path (mode) -> default patch (rows, cols), eyes, class sets by size
+# run choices: crop path (mode) -> patch (rows, cols), eyes, class sets by size
 PATCH_HW = {"roi": (42, 50), "ert": (15, 25)}
 SIDES = ("left", "right")
 EYES = (*SIDES, "both")
@@ -231,7 +233,7 @@ CLASS_SETS = {3: ThreeClass, 7: EacClass}
 
 
 def default_patch_hw(mode: str) -> tuple[int, int]:
-    """The crop path's default patch size; ValueError for an unknown mode."""
+    """The crop path's fixed patch size; ValueError for an unknown mode."""
     if mode not in PATCH_HW:
         raise ValueError(f"mode must be {' or '.join(PATCH_HW)}, got {mode!r}")
     return PATCH_HW[mode]
@@ -292,16 +294,17 @@ def extract_patch(
 
 
 def make_eye_pairs(
-    samples: list[Sample], mode: str, patch_hw: tuple[int, int] | None = None,
-    image_root: str = "", split: str = "train", labels=None, eye: str = "both",
+    samples: list[Sample], mode: str, image_root: str = "", split: str = "train",
+    labels=None, eye: str = "both",
 ) -> tuple[list, list]:
-    """Decodes each image once into (left, right) patch lists tagged with their
-    split, one entry per sample; an eye that `eye` does not select is None.
+    """Decodes each image once into (left, right) patch lists at the mode's
+    patch size, tagged with their split, one entry per sample; an eye that
+    `eye` does not select is None.
 
     labels defaults to each sample's 7-class index; pass explicit labels for
     3-class runs.
     """
-    hw = default_patch_hw(mode) if patch_hw is None else patch_hw
+    hw = default_patch_hw(mode)
     out: tuple[list, list] = ([], [])
     for i, sample in enumerate(samples):
         img = preprocess.read_pnm(os.path.join(image_root, sample.image_path))
@@ -316,13 +319,13 @@ def make_eye_pairs(
 
 
 def make_eye_patches(
-    samples: list[Sample], side: str, mode: str, patch_hw: tuple[int, int] | None = None,
+    samples: list[Sample], side: str, mode: str,
     image_root: str = "", split: str = "train", labels=None,
 ) -> list[EyePatch]:
     """One eye's patches: `make_eye_pairs` cropping only that eye."""
     if side not in SIDES:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    pairs = make_eye_pairs(samples, mode, patch_hw, image_root, split, labels, eye=side)
+    pairs = make_eye_pairs(samples, mode, image_root, split, labels, eye=side)
     return pairs[SIDES.index(side)]
 
 

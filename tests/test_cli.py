@@ -1,5 +1,6 @@
 """Command-line surface: synth/train/eval/predict/bench, config, exit codes."""
 
+import configparser
 import dataclasses
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gazedir import augment, cli, dataset, nn, preprocess, synth
+from gazedir import augment, cli, config, dataset, nn, preprocess, synth
 from gazedir.augment import AugmentPolicy
 from gazedir.config import ConfigError, RunConfig, load_config
 
@@ -101,11 +102,17 @@ class TestConfig:
         assert cfg.rotations == (1.0, -1.0)
         assert cfg.map3[dataset.EacClass.K] == dataset.ThreeClass.LEFT
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        # patch_h: the patch size is fixed per mode, so no key sets it
         path = tmp_path / "run.ini"
-        path.write_text("[train]\nlearning_rate = 0.1\n")
-        with pytest.raises(ConfigError, match="learning_rate"):
-            load_config(path)
+        for section, key in (("train", "learning_rate"), ("data", "patch_h")):
+            path.write_text(f"[{section}]\n{key} = 42\n")
+            with pytest.raises(ConfigError, match=key):
+                load_config(path)
+            assert run(["train", "--config", str(path)]) == 1
+            assert _single_error_line(capsys.readouterr().err) == (
+                f"error: {path}: unknown key {key!r} in [{section}]"
+            )
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -167,12 +174,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="finite"):
             load_config(path)
 
-    def test_zero_patch_is_not_the_default(self, tmp_path):
-        path = tmp_path / "run.ini"
-        path.write_text("[data]\npatch_h = 0\n")
-        with pytest.raises(ConfigError, match="0x25 too small"):
-            load_config(path)
-
     def test_config_directory_is_io_error(self, tmp_path, capsys):
         assert run(["train", "--config", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -196,8 +197,15 @@ class TestConfig:
         path = tmp_path / "readme.ini"
         path.write_text(blocks[0])
         cfg = load_config(path)
-        assert cfg.manifest == "data/manifest.csv"
+        assert cfg.manifest == "data/manifest.csv" and cfg.resolved_image_root() == "data"
         assert cfg.mode == "ert" and cfg.classes == 7
+        # the block sets every key, so none goes undocumented
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(blocks[0])
+        listed = {(section, key) for section in parser.sections() for key in parser[section]}
+        assert listed == {(section, name) for section, name, _ in config._FIELDS} | {
+            ("map3", c.name.lower()) for c in dataset.EacClass
+        }
 
     def test_readme_command_lines_parse(self):
         """Every `gazedir ...` line of README's command-line block parses, so a
@@ -813,6 +821,13 @@ class TestRuntimeFailures:
         assert run(["train", "--manifest", str(manifest), "--model-dir", str(tmp_path)]) == 1
         line = _single_error_line(capsys.readouterr().err)
         assert line.startswith(f"error: {manifest}: line 2: field larger than field limit")
+
+    def test_non_utf8_manifest_names_the_file(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_bytes(f"{HEADER}\nvd_\xff.pgm,VD,{GOOD_FACE},,,,,,,,,\n".encode("latin-1"))
+        assert run(["train", "--manifest", str(manifest), "--model-dir", str(tmp_path)]) == 1
+        line = _single_error_line(capsys.readouterr().err)
+        assert line.startswith(f"error: {manifest}: ") and "utf-8" in line
 
     def test_huge_landmarks_predict_exit_1(self, trained, corpus, capsys):
         code = run([

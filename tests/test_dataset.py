@@ -357,8 +357,6 @@ CHOICE_ENTRY_POINTS = {
     "eye_pair": _eye_pair,
     "make_eye_pairs": lambda root, sample, mode, eye: dataset.make_eye_pairs(
         [sample], mode, image_root=root, eye=eye),
-    "make_eye_pairs_sized": lambda root, sample, mode, eye: dataset.make_eye_pairs(
-        [sample], mode, (15, 25), image_root=root, eye=eye),
 }
 
 

@@ -91,6 +91,19 @@ class TestRelu:
         assert rel_err(analytic, numeric) < 1e-6
 
 
+def oracle_conv_cols(x4, kh, kw):
+    """The unfold as one slice copy per kernel offset: the reference layout."""
+    b, c, h, w = x4.shape
+    ph, pw = kh // 2, kw // 2
+    padded = np.zeros((b, c, h + 2 * ph, w + 2 * pw), dtype=x4.dtype)
+    padded[:, :, ph : ph + h, pw : pw + w] = x4
+    cols = np.empty((b, c, kh, kw, h, w), dtype=x4.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            cols[:, :, u, v] = padded[:, :, u : u + h, v : v + w]
+    return cols.reshape(b, c * kh * kw, h * w)
+
+
 class TestConv2d:
     def test_1x1_kernel_is_scalar_multiply(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
@@ -185,6 +198,30 @@ class TestConv2d:
         conv = nn.Conv2D(np.zeros((3, 1, 3, 3)), np.zeros(3))
         with pytest.raises(ValueError, match="no forward was cached"):
             conv.backward(np.zeros((1, 3, 4, 4)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_unfold_matches_the_offset_loop(self, data):
+        shape = data.draw(st.tuples(
+            st.integers(1, 3), st.integers(1, 3), st.integers(1, 9), st.integers(1, 9)
+        ))
+        kh, kw = data.draw(st.tuples(st.sampled_from([1, 3, 5, 7]), st.sampled_from([1, 3, 5, 7])))
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        # any bit pattern, -0.0 and NaN included, must be copied unchanged
+        bits = np.dtype(dtype).itemsize * 8
+        x = data.draw(hnp.arrays(dtype, shape, elements=st.floats(width=bits)))
+        expected = oracle_conv_cols(x, kh, kw)
+        buf = data.draw(st.sampled_from(["none", "match", "other"]))
+        scratch = {
+            "none": None,
+            "match": np.full(expected.size, 7, dtype=dtype),
+            "other": np.full(expected.size + 1, 7, dtype=dtype),
+        }[buf]
+        cols = nn._conv_cols(x, kh, kw, buf=scratch)
+        assert cols.dtype == expected.dtype and cols.shape == expected.shape
+        assert cols.tobytes() == expected.tobytes()
+        # a matching buffer is filled in place; any other is replaced
+        assert (scratch is not None and np.shares_memory(cols, scratch)) == (buf == "match")
 
 
 def oracle_pool_forward(x):
