@@ -207,7 +207,8 @@ def cmd_bench(args) -> int:
     print(f"fps {report['fps']:.1f}")
     os.makedirs(cfg.report_dir, exist_ok=True)
     bench_path = os.path.join(cfg.report_dir, "bench.json")
-    fusion.dump_json({**fusion.round_sig(report), **_report_meta(cfg)}, bench_path)
+    meta = _report_meta(cfg, timed_models=args.model_dir)  # None: the seeded nets
+    fusion.dump_json({**fusion.round_sig(report), **meta}, bench_path)
     print(f"wrote {bench_path}")
     return 0
 

@@ -293,13 +293,25 @@ def extract_patch(
     return eye_pair(img, sample, mode, patch_hw, eye=side)[SIDES.index(side)]
 
 
+def _eye_rows(sample: Sample, mode: str, eye: str) -> tuple[int, int] | None:
+    """(y0, y1): the rows the selected eye boxes span. None (every row) when
+    the boxes are bad; eye_pair then reports that after the decode, so a bad
+    image is still reported first."""
+    try:
+        boxes = [box for box in eye_boxes(sample, mode, eye) if box is not None]
+    except ValueError:
+        return None
+    return min(box.y for box in boxes), max(box.y + box.h for box in boxes)
+
+
 def make_eye_pairs(
     samples: list[Sample], mode: str, image_root: str = "", split: str = "train",
     labels=None, eye: str = "both",
 ) -> tuple[list, list]:
     """Decodes each image once into (left, right) patch lists at the mode's
     patch size, tagged with their split, one entry per sample; an eye that
-    `eye` does not select is None.
+    `eye` does not select is None. Only the rows the selected eye boxes span
+    are read from the file.
 
     labels defaults to each sample's 7-class index; pass explicit labels for
     3-class runs.
@@ -307,7 +319,8 @@ def make_eye_pairs(
     hw = default_patch_hw(mode)
     out: tuple[list, list] = ([], [])
     for i, sample in enumerate(samples):
-        img = preprocess.read_pnm(os.path.join(image_root, sample.image_path))
+        path = os.path.join(image_root, sample.image_path)
+        img = preprocess.read_pnm(path, _eye_rows(sample, mode, eye))
         label = int(sample.eac) if labels is None else int(labels[i])
         try:
             pair = eye_pair(img, sample, mode, hw, eye)

@@ -8,6 +8,7 @@ codec (binary PGM/PPM) the pipeline ingests.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,9 @@ def _round_px(v: float) -> int:
 # PGM / PPM codec (binary P5 / P6, 8-bit)
 # --------------------------------------------------------------------------
 
+_HEADER_READ = 256  # bytes of the first read, which holds a typical header
+
+
 def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     # skip whitespace and '#' comments that run to end of line
     n = len(buf)
@@ -71,21 +75,67 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     return buf[start:pos], pos
 
 
-def read_pnm(path) -> np.ndarray:
+def read_pnm(path, rows=None) -> np.ndarray:
     """Reads binary PGM (P5) or PPM (P6); returns uint8 (H,W) or (H,W,3).
 
     Samples of a file with maxval < 255 are rescaled to 0..255 as
     floor(v * 255 / maxval + 0.5). A malformed file raises ValueError naming it.
+    The raster is read in one copy, straight into the returned array. With
+    rows=(y0, y1), only rows y0..y1-1 (clamped to the image) are read and the
+    other rows of the full-shape result stay zero. A file with maxval < 255 is
+    read whole, so every sample is still checked against maxval, and so is a
+    pipe, which cannot seek.
     """
-    with open(path, "rb") as f:
-        buf = f.read()
-    try:
-        return _parse_pnm(buf)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    with open(path, "rb", buffering=0) as f:
+        try:
+            return _read_pnm(f, rows)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
-def _parse_pnm(buf: bytes) -> np.ndarray:
+def _read_pnm(f, rows) -> np.ndarray:
+    buf = b""
+    while True:  # a header longer than the first read is read on, in doubling steps
+        more = f.read(max(len(buf), _HEADER_READ))
+        buf += more
+        try:
+            magic, width, height, maxval, pos = _parse_header(buf)
+        except ValueError:
+            if not more:  # the whole file is in buf, so the header is bad
+                raise
+            continue
+        if pos <= len(buf) or not more:  # maxval's whitespace byte is in buf
+            break
+    row_bytes = width * (1 if magic == b"P5" else 3)
+    seekable = f.seekable()  # a pipe has no size to check and is read through
+    if seekable and os.fstat(f.fileno()).st_size - pos < height * row_bytes:
+        raise ValueError("raster truncated")
+    img = np.zeros((height, width) if magic == b"P5" else (height, width, 3), np.uint8)
+    if rows is None or maxval != 255 or not seekable:
+        rows = (0, height)
+    y0, y1 = (min(max(y, 0), height) for y in rows)
+    view = memoryview(img).cast("B")[y0 * row_bytes : y1 * row_bytes]
+    start = pos + y0 * row_bytes
+    head = buf[start : start + len(view)]  # wanted bytes the header reads already hold
+    view[: len(head)] = head
+    view = view[len(head) :]
+    if seekable:
+        f.seek(start + len(head))
+    while view:
+        n = f.readinto(view)
+        if not n:  # the file shrank after the size check
+            raise ValueError("raster truncated")
+        view = view[n:]
+    if maxval != 255:
+        if img.max() > maxval:
+            raise ValueError(f"sample above maxval {maxval}")
+        # floor(v * 255 / maxval + 0.5) in exact integer arithmetic
+        img = ((img.astype(np.uint32) * 510 + maxval) // (2 * maxval)).astype(np.uint8)
+    return img
+
+
+def _parse_header(buf: bytes) -> tuple[bytes, int, int, int, int]:
+    """(magic, width, height, maxval, raster offset) of a P5/P6 header."""
     magic, pos = _next_token(buf, 0)
     if magic not in (b"P5", b"P6"):
         raise ValueError(f"unsupported raster format {magic!r}")
@@ -100,20 +150,7 @@ def _parse_pnm(buf: bytes) -> np.ndarray:
         raise ValueError(f"bad dimensions {width}x{height}")
     if not 0 < maxval <= 255:
         raise ValueError(f"only 8-bit rasters supported (maxval {maxval})")
-    pos += 1  # single whitespace byte after maxval
-    channels = 1 if magic == b"P5" else 3
-    count = width * height * channels
-    raster = buf[pos : pos + count]
-    if len(raster) != count:
-        raise ValueError("raster truncated")
-    img = np.frombuffer(raster, dtype=np.uint8)
-    if maxval != 255:
-        if img.max() > maxval:
-            raise ValueError(f"sample above maxval {maxval}")
-        # floor(v * 255 / maxval + 0.5) in exact integer arithmetic
-        img = ((img.astype(np.uint32) * 510 + maxval) // (2 * maxval)).astype(np.uint8)
-    shape = (height, width) if channels == 1 else (height, width, 3)
-    return img.reshape(shape).copy()
+    return magic, width, height, maxval, pos + 1  # single whitespace byte after maxval
 
 
 def write_pgm(path, img: np.ndarray) -> None:

@@ -379,9 +379,9 @@ class TestDecodeOnce:
         decoded = []
         read_pnm = preprocess.read_pnm
 
-        def counting_read_pnm(path):
+        def counting_read_pnm(path, *args):
             decoded.append(os.path.normpath(path))
-            return read_pnm(path)
+            return read_pnm(path, *args)
 
         monkeypatch.setattr(preprocess, "read_pnm", counting_read_pnm)
         common = [
@@ -395,6 +395,36 @@ class TestDecodeOnce:
         for paths in (train, decoded):
             assert len(paths) == len(set(paths)) == 7
         assert not set(train) & set(decoded)
+
+
+class TestBadImageErrors:
+    """A bad image in the eval split is one error line that names it once, and
+    a bad image is reported before bad landmarks."""
+
+    def test_truncated_image_exit_1(self, trained, corpus, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(corpus, data)
+        manifest = str(data / "manifest.csv")
+        bad = dataset.split_50_50(dataset.load_manifest(manifest), 0).test[0]
+        image = data / bad.image_path
+        image.write_bytes(image.read_bytes()[:-1])
+        capsys.readouterr()
+        code = run(["eval", "--manifest", manifest, "--model-dir", str(trained / "models"),
+                    "--report-dir", str(tmp_path / "reports"), "--mode", "ert", "--seed", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {image}: raster truncated\n"
+
+    def test_missing_image_before_missing_landmarks(self, trained, tmp_path, capsys):
+        samples = [dataset.Sample(f"absent_{i}.pgm", synth.FACE, dataset.EacClass.VD)
+                   for i in range(2)]
+        dataset.write_manifest(tmp_path / "manifest.csv", samples)
+        capsys.readouterr()
+        code = run(["eval", "--manifest", str(tmp_path / "manifest.csv"),
+                    "--model-dir", str(trained / "models"),
+                    "--report-dir", str(tmp_path / "reports"), "--mode", "ert"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"i/o error: \[Errno 2\] No such file or directory: '.*absent_\d\.pgm'\n", err)
 
 
 class TestColourCorpus:
@@ -632,6 +662,7 @@ class TestBenchCommand:
         assert set(blob["stages"]) == set(
             ("crop_resize", "normalize", "forward_left", "forward_right", "fuse")
         )
+        assert blob["timed_models"] is None  # the seeded untrained nets
         out = capsys.readouterr().out
         assert "fps" in out and "end_to_end" in out
 
@@ -654,7 +685,8 @@ class TestBenchCommand:
         ]
         assert run([*args, "--mode", "ert"]) == 0
         assert [os.path.basename(p) for p in loaded] == [cli.MODEL_LEFT, cli.MODEL_RIGHT]
-        assert json.loads((tmp_path / "bench.json").read_text())["n_frames"] == 3
+        blob = json.loads((tmp_path / "bench.json").read_text())
+        assert blob["n_frames"] == 3 and blob["timed_models"] == str(trained / "models")
         # the ert-trained models take 15x25 patches, roi mode makes 42x50
         assert run([*args, "--mode", "roi"]) == 1
         assert "does not match" in _single_error_line(capsys.readouterr().err)

@@ -1,5 +1,6 @@
 """Manifest parsing, splits, label mapping, and eye-sample materialization."""
 
+import dataclasses
 import re
 from unittest import mock
 
@@ -440,3 +441,56 @@ class TestColourInput:
             assert [c.args[0].shape for c in spy.call_args_list] == [
                 preprocess.crop(rgb, b).shape for b in boxes
             ]
+
+
+@st.composite
+def pnm_frames(draw):
+    """A colour_frames frame stored as P5 (its first plane) or P6, with
+    maxval 255 or below; returns (file bytes, sample)."""
+    rgb, sample = draw(colour_frames())
+    img = rgb if draw(st.booleans()) else rgb[..., 0]
+    maxval = draw(st.sampled_from([255, 200, 15, 1]))
+    img = (img.astype(np.uint32) * maxval // 255).astype(np.uint8)
+    head = f"{'P5' if img.ndim == 2 else 'P6'}\n{img.shape[1]} {img.shape[0]}\n{maxval}\n"
+    return head.encode("ascii") + img.tobytes(), sample
+
+
+def pair_or_error(make):
+    try:
+        return [None if p is None else p.tobytes() for p in make()]
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestRowRead:
+    """make_eye_pairs reads only the rows its eye boxes span; its patches and
+    its errors are those of eye_pair on the whole decoded frame."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(frame=pnm_frames(), mode=st.sampled_from(list(dataset.PATCH_HW)),
+           eye=st.sampled_from(dataset.EYES))
+    def test_patches_equal_eye_pair_on_full_read(self, tmp_path, frame, mode, eye):
+        blob, sample = frame
+        sample = dataclasses.replace(sample, image_path="frame.pnm")
+        path = tmp_path / sample.image_path
+        path.unlink(missing_ok=True)
+        path.write_bytes(blob)
+        hw = dataset.default_patch_hw(mode)
+        want = pair_or_error(
+            lambda: dataset.eye_pair(preprocess.read_pnm(path), sample, mode, hw, eye))
+        got = pair_or_error(lambda: [
+            p and p.pixels
+            for p, in dataset.make_eye_pairs([sample], mode, str(tmp_path), eye=eye)])
+        assert got == (want if isinstance(want, list) else f"frame.pnm: {want}")
+
+    @pytest.mark.parametrize("face_y", [-200, 30, 200])  # above, across, below
+    @pytest.mark.parametrize("face_x", [-200, 200])      # left, right
+    def test_box_off_the_frame_keeps_the_crop_error(self, tmp_path, face_x, face_y):
+        path = tmp_path / "frame.pgm"
+        preprocess.write_pgm(path, np.full((60, 80), 7, np.uint8))
+        sample = Sample("frame.pgm", Box(face_x, face_y, 100, 100), EacClass.VD)
+        box = preprocess.geometric_eye_rois(sample.face)[0]
+        with pytest.raises(ValueError) as exc:
+            dataset.make_eye_pairs([sample], "roi", str(tmp_path), eye="left")
+        assert str(exc.value) == f"frame.pgm: crop box {box} lies outside the 80x60 image"

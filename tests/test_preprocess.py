@@ -1,12 +1,15 @@
 """Codec, grayscale, resize, eye-box geometry, crop, and normalization."""
 
 import math
+import os
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gazedir import augment, preprocess
 from gazedir.preprocess import Box
@@ -99,6 +102,95 @@ class TestPnmCodec:
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             preprocess.read_pnm(tmp_path / "absent.pgm")
+
+
+def pnm_bytes(img: np.ndarray, maxval: int = 255, head: bytes = b"") -> bytes:
+    """A P5 (2-D img) or P6 (3-D img) file; `head` goes before the magic."""
+    magic = b"P5" if img.ndim == 2 else b"P6"
+    size = f"{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode("ascii")
+    return head + magic + b"\n" + size + img.astype(np.uint8).tobytes()
+
+
+# 30 rows of 40 pixels: the raster runs on past the first read
+FRAMES = {"P5": (np.arange(1200) % 251).astype(np.uint8).reshape(30, 40),
+          "P6": (np.arange(3600) % 251).astype(np.uint8).reshape(30, 40, 3)}
+
+
+class TestPnmReadSteps:
+    """The header comes from a first small read and the raster is read into
+    the output array, so the header may span reads and the file may shrink."""
+
+    @pytest.mark.parametrize("magic", FRAMES)
+    def test_header_longer_than_first_read(self, tmp_path, magic):
+        path = tmp_path / "img.pnm"
+        comment = b"# " + b"x" * (5 * preprocess._HEADER_READ) + b"\n"
+        path.write_bytes(pnm_bytes(FRAMES[magic], head=comment))
+        npt.assert_array_equal(preprocess.read_pnm(path), FRAMES[magic])
+
+    @pytest.mark.parametrize("magic", FRAMES)
+    def test_token_straddling_first_read(self, tmp_path, magic):
+        # leading whitespace moves every header byte across the read boundary
+        path = tmp_path / "img.pnm"
+        for pad in range(preprocess._HEADER_READ - 16, preprocess._HEADER_READ + 1):
+            path.write_bytes(pnm_bytes(FRAMES[magic], head=b" " * pad))
+            npt.assert_array_equal(preprocess.read_pnm(path), FRAMES[magic])
+            npt.assert_array_equal(preprocess.read_pnm(path, (1, 2))[1], FRAMES[magic][1])
+
+    @pytest.mark.parametrize("rows", [None, (29, 30)])
+    @pytest.mark.parametrize("magic", FRAMES)
+    def test_file_shrinking_after_size_check(self, tmp_path, monkeypatch, magic, rows):
+        path = tmp_path / "img.pnm"
+        path.write_bytes(pnm_bytes(FRAMES[magic]))
+        fstat = os.fstat
+
+        def fstat_then_shrink(fd):
+            stat = fstat(fd)
+            os.truncate(path, stat.st_size - 1)
+            return stat
+
+        monkeypatch.setattr(preprocess.os, "fstat", fstat_then_shrink)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: raster truncated$"):
+            preprocess.read_pnm(path, rows)
+
+    @pytest.mark.parametrize("cut", [0, 1])
+    @pytest.mark.parametrize("magic", FRAMES)
+    def test_pipe_is_read_whole(self, magic, cut):
+        blob = pnm_bytes(FRAMES[magic])
+        read_end, write_end = os.pipe()
+        os.write(write_end, blob[: len(blob) - cut])  # fits the pipe buffer
+        os.close(write_end)
+        try:
+            if cut:
+                with pytest.raises(ValueError, match=r": raster truncated$"):
+                    preprocess.read_pnm(f"/dev/fd/{read_end}", (3, 5))
+            else:
+                img = preprocess.read_pnm(f"/dev/fd/{read_end}", (3, 5))
+                npt.assert_array_equal(img, FRAMES[magic])
+        finally:
+            os.close(read_end)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), channels=st.sampled_from([1, 3]),
+           maxval=st.sampled_from([255, 1, 15, 200]))
+    def test_rows_read_equals_full_read_inside_them(self, tmp_path, data, channels, maxval):
+        h, w = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        shape = (h, w) if channels == 1 else (h, w, 3)
+        img = data.draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, maxval)))
+        rows = data.draw(st.tuples(st.integers(-3, h + 3), st.integers(-3, h + 3)))
+        path = tmp_path / "img.pnm"
+        path.unlink(missing_ok=True)
+        path.write_bytes(pnm_bytes(img, maxval))
+        full = preprocess.read_pnm(path)
+        part = preprocess.read_pnm(path, rows)
+        assert part.dtype == np.uint8 and part.shape == full.shape
+        if maxval != 255:  # read whole, so every sample is checked
+            npt.assert_array_equal(part, full)
+            return
+        inside = np.zeros(h, bool)
+        inside[max(rows[0], 0):max(rows[1], 0)] = True
+        npt.assert_array_equal(part[inside], full[inside])
+        assert not part[~inside].any()
 
 
 class TestToGrayscale:
