@@ -175,7 +175,8 @@ def cmd_predict(args) -> int:
     pairs = dataset.make_eye_pairs([sample], cfg.mode, split="test", eye=eye)
     model_left, model_right = _load_models(cfg, cfg.model_dir, eye)
     (x_left, x_right, _), = _triples(pairs)
-    score = fusion.score_pair(model_left, model_right, x_left, x_right)
+    stacks = (x if x is None else x[None] for x in (x_left, x_right))
+    score = fusion.score_pair(model_left, model_right, *stacks)[0]
     label = fusion.predict_class(score)
     out = {
         "class": dataset.class_names(cfg.classes)[label],

@@ -7,7 +7,9 @@ finite-difference gradient checking, and a binary model format.
 Tensors are C-order (row-major) numpy arrays: float32 in production,
 float64 in gradient-check mode. Every layer runs on stacked minibatches
 (B, C, H, W); a single sample is a batch of one. Layer shapes are checked
-once, when a Model is built.
+once, when a Model is built. `Model.forward_batch` is the one inference
+pass, and each of its rows is byte-identical to a forward of that sample
+alone, so scores do not depend on how samples are stacked.
 """
 
 from __future__ import annotations
@@ -298,9 +300,11 @@ class Dense(_Params):
 
     def forward(self, x, cache=False):
         flat = x.reshape(x.shape[0], -1)
-        if cache:
-            self._input_shape = x.shape
-            self._flat = flat
+        if not cache:
+            # per-row products keep a row's bytes independent of B; training keeps its one GEMM
+            return (flat[:, None, :] @ self.weights.T)[:, 0] + self.bias
+        self._input_shape = x.shape
+        self._flat = flat
         return flat @ self.weights.T + self.bias
 
     def backward(self, upstream):
@@ -356,29 +360,37 @@ class Model:
     def dtype(self):
         return self.parameters()[0].dtype
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Class probabilities for one sample. Pure inference (no caches
-        written; safe to share across threads). Non-finite scores raise
-        FloatingPointError, so they can never be read as a class."""
-        if x.shape != self.input_shape:
+    def _check_batch(self, x4: np.ndarray) -> None:
+        if x4.shape[1:] != self.input_shape:
             raise ValueError(
-                f"input shape {x.shape} does not match model input {self.input_shape}"
+                f"sample shape {x4.shape[1:]} does not match model input {self.input_shape}"
             )
-        h = x.astype(self.dtype, copy=False)[None]
+
+    def forward_batch(self, x4: np.ndarray) -> np.ndarray:
+        """Class probabilities (B, n_classes) for a stack (B, 1, H, W).
+
+        The one inference pass: pure (no caches written; safe to share
+        across threads), and each row is byte-identical to the forward of
+        that sample alone, whatever B is. Non-finite scores in any row raise
+        FloatingPointError, so they can never be read as a class.
+        """
+        self._check_batch(x4)
+        h = x4.astype(self.dtype, copy=False)
         for layer in self.layers:
             h = layer.forward(h)
         if not np.all(np.isfinite(h)):
             raise FloatingPointError("non-finite values in model output")
-        return h[0]
+        return h
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Class probabilities (n_classes,) for one (1, H, W) sample: a
+        forward_batch of one, which also checks the shape."""
+        return self.forward_batch(x[None])[0]
 
     def batch_loss_and_backward(self, x4: np.ndarray, labels: np.ndarray) -> float:
         """Training pass over a stacked batch; accumulates summed parameter
         grads and returns the summed loss."""
-        if x4.shape[1:] != self.input_shape:
-            raise ValueError(
-                f"batch sample shape {x4.shape[1:]} does not match model "
-                f"input {self.input_shape}"
-            )
+        self._check_batch(x4)
         h = x4.astype(self.dtype, copy=False)
         for layer in self.layers[:-1]:
             h = layer.forward(h, cache=True)

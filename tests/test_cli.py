@@ -748,6 +748,19 @@ class TestRuntimeFailures:
         assert _predict_ert(corpus, models) == 1
         assert "non-finite" in _single_error_line(capsys.readouterr().err)
 
+    def test_non_finite_scores_in_eval_exit_1(self, trained, corpus, tmp_path, capsys):
+        models = _copy_models(trained, tmp_path / "models")
+        model = nn.load_model(models / cli.MODEL_LEFT)
+        model.layers[0].weights[0, 0, 0, 0] = np.nan
+        nn.save_model(model, models / cli.MODEL_LEFT)
+        code = run([
+            "eval", "--manifest", str(corpus / "manifest.csv"), "--model-dir", str(models),
+            "--report-dir", str(tmp_path / "reports"), "--mode", "ert", "--seed", "1",
+        ])
+        assert code == 1
+        assert "non-finite" in _single_error_line(capsys.readouterr().err)
+        assert not (tmp_path / "reports").exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_training_exit_1(self, corpus, tmp_path, capsys):
         code = run([

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazedir import fusion, preprocess, synth
+from gazedir import dataset, fusion, nn, preprocess, synth
 from gazedir.fusion import ConfusionMatrix, EvalResult
 
 
@@ -21,25 +21,27 @@ def prob_vectors(n):
 
 
 class FixedModel:
-    """Stub model: ignores the input, returns a canned score vector."""
+    """Stub model: ignores the input, returns a canned score vector per row.
+    The last stack it returned is kept in `returned`."""
 
     def __init__(self, scores, n_classes=None):
         self.scores = np.asarray(scores, dtype=np.float64)
         self.n_classes = n_classes or len(self.scores)
 
-    def forward(self, x):
-        return self.scores
+    def forward_batch(self, x4):
+        self.returned = np.tile(self.scores, (len(x4), 1))
+        return self.returned
 
 
 class LookupModel:
-    """Stub model keyed on the input tensor's first element."""
+    """Stub model keyed on each input tensor's first element."""
 
     def __init__(self, table, n_classes):
         self.table = table
         self.n_classes = n_classes
 
-    def forward(self, x):
-        return self.table[float(np.ravel(x)[0])]
+    def forward_batch(self, x4):
+        return np.stack([self.table[float(np.ravel(x)[0])] for x in x4])
 
 
 class TestFuseScores:
@@ -74,6 +76,12 @@ class TestPredictClass:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fusion.predict_class(np.array([]))
+
+    @pytest.mark.parametrize("score", [[[0, 0, 0], [0, 1, 0]], [[0.2, 0.8]], 0.5])
+    def test_non_vector_rejected(self, score):
+        """A stack of scores is not one vector: its flat argmax is no class."""
+        with pytest.raises(ValueError, match="one score vector"):
+            fusion.predict_class(score)
 
     @settings(max_examples=100, deadline=None)
     @given(l=prob_vectors(5), r=prob_vectors(5))
@@ -172,6 +180,13 @@ class TestEvaluate:
         assert fusion.evaluate(ml, None, [(np.zeros(1), None, 1)]).accuracy == 0.0
         assert fusion.evaluate(ml, mr, [(np.zeros(1), np.zeros(1), 1)]).accuracy == 0.0
 
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_label_out_of_range_rejected(self, bad):
+        m = FixedModel(np.eye(7)[6])
+        x = np.zeros((1, 1, 1))
+        with pytest.raises(ValueError, match=rf"sample 2: label {bad} outside \[0, 7\)"):
+            fusion.evaluate(m, m, [(x, x, 0), (x, x, 6), (x, x, bad)])
+
     def test_single_eye_class_count_from_its_model(self):
         triples = [(None, np.zeros(1), 1)]
         result = fusion.evaluate(None, FixedModel([0.1, 0.9]), triples)
@@ -181,20 +196,85 @@ class TestEvaluate:
 class TestScorePair:
     def test_both_models_fuse(self):
         ml, mr = FixedModel([0.8, 0.2]), FixedModel([0.2, 0.6])
-        npt.assert_array_equal(
-            fusion.score_pair(ml, mr, np.zeros(1), np.zeros(1)), [0.5, 0.4]
-        )
+        stack = np.zeros((2, 1, 1, 1))
+        npt.assert_array_equal(fusion.score_pair(ml, mr, stack, stack), [[0.5, 0.4]] * 2)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_none_model_scores_the_other_eye(self, side):
         """The present network's softmax, untouched; the absent eye's tensor
         is never read."""
         present = FixedModel([0.8, 0.2])
+        stack = np.zeros((2, 1, 1, 1))
         if side == "left":
-            score = fusion.score_pair(present, None, np.zeros(1), None)
+            score = fusion.score_pair(present, None, stack, None)
         else:
-            score = fusion.score_pair(None, present, None, np.zeros(1))
-        assert score is present.scores
+            score = fusion.score_pair(None, present, None, stack)
+        assert score is present.returned
+
+
+def random_triples(n, eye, seed=0):
+    """n (left, right, label) triples of random 15x25 eyes; an eye that
+    `eye` does not select is None, as the CLI builds them."""
+    rng = np.random.default_rng(seed)
+    return [
+        (*(rng.normal(size=(1, 15, 25)).astype(np.float32) if w else None
+           for w in dataset.eye_selection(eye)),
+         int(rng.integers(7)))
+        for _ in range(n)
+    ]
+
+
+def eye_models(eye):
+    """15x25 nets for the eyes `eye` selects, None for the other."""
+    return tuple(
+        nn.build_gaze_net(15, 25, 7, seed=seed) if w else None
+        for seed, w in zip((3, 4), dataset.eye_selection(eye))
+    )
+
+
+class TestBatchedEvaluate:
+    @pytest.mark.parametrize("eye", ["left", "right", "both"])
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 9])
+    def test_same_confusion_as_per_sample_scoring(self, eye, n):
+        ml, mr = eye_models(eye)
+        triples = random_triples(n, eye, seed=n)
+        expected = ConfusionMatrix(7)
+        for xl, xr, y in triples:
+            one = [x if x is None else x[None] for x in (xl, xr)]
+            expected.add(y, fusion.predict_class(fusion.score_pair(ml, mr, *one)[0]))
+        result = fusion.evaluate(ml, mr, triples)
+        npt.assert_array_equal(result.confusion.counts, expected.counts)
+
+    def test_scores_stacks_of_four(self, monkeypatch):
+        """9 pairs run each model's first conv at batch sizes 4, 4 and 1."""
+        ml, mr = eye_models("both")
+        sizes = {"left": [], "right": []}
+        for side, model in (("left", ml), ("right", mr)):
+            conv1 = model.layers[0].forward
+
+            def spy(x, cache=False, conv1=conv1, seen=sizes[side]):
+                seen.append(x.shape[0])
+                return conv1(x, cache)
+
+            monkeypatch.setattr(model.layers[0], "forward", spy)
+        fusion.evaluate(ml, mr, random_triples(9, "both"))
+        assert fusion.EVAL_CHUNK == 4
+        assert sizes == {"left": [4, 4, 1], "right": [4, 4, 1]}
+
+    def test_nan_in_partial_stack_raises_before_counting_it(self, monkeypatch):
+        """6 pairs are stacks of 4 and 2; a NaN in the last pair stops the
+        run after the first stack's 4 counts, naming the second stack."""
+        ml, mr = eye_models("both")
+        triples = random_triples(6, "both")
+        triples[5][0][0, 3, 4] = np.nan
+        counted = []
+        add = ConfusionMatrix.add
+        monkeypatch.setattr(
+            ConfusionMatrix, "add", lambda cm, t, p: (counted.append(t), add(cm, t, p))
+        )
+        with pytest.raises(FloatingPointError, match=r"samples 4\.\.5: non-finite"):
+            fusion.evaluate(ml, mr, triples)
+        assert len(counted) == 4
 
 
 class TestEmitReport:
@@ -264,8 +344,6 @@ def bench_frames(n, seed=0):
 
 class TestBenchLatency:
     def test_counts_and_fps_relation(self):
-        from gazedir import nn
-
         ml = nn.build_gaze_net(15, 25, 7, seed=0)
         mr = nn.build_gaze_net(15, 25, 7, seed=1)
         report = fusion.bench_latency(ml, mr, bench_frames(12), 3, "ert")
@@ -274,8 +352,6 @@ class TestBenchLatency:
         npt.assert_allclose(report["fps"], 1000.0 / report["end_to_end"]["mean_ms"], rtol=1e-9)
 
     def test_end_to_end_dominates_stages(self):
-        from gazedir import nn
-
         ml = nn.build_gaze_net(15, 25, 7, seed=0)
         mr = nn.build_gaze_net(15, 25, 7, seed=1)
         report = fusion.bench_latency(ml, mr, bench_frames(10), 2, "ert")
@@ -283,8 +359,6 @@ class TestBenchLatency:
         assert report["end_to_end"]["mean_ms"] >= worst_stage
 
     def test_monotone_under_injected_delay(self, monkeypatch):
-        from gazedir import nn
-
         ml = nn.build_gaze_net(15, 25, 7, seed=0)
         mr = nn.build_gaze_net(15, 25, 7, seed=1)
         frames = bench_frames(8)
@@ -304,8 +378,6 @@ class TestBenchLatency:
 
     @pytest.mark.parametrize("mode", ["rio", "ERT"])
     def test_unknown_mode_rejected(self, mode):
-        from gazedir import nn
-
         ml = nn.build_gaze_net(15, 25, 7, seed=0)
         mr = nn.build_gaze_net(15, 25, 7, seed=1)
         with pytest.raises(ValueError, match=f"mode must be roi or ert, got '{mode}'"):
@@ -316,8 +388,6 @@ class TestBenchLatency:
             fusion.bench_latency(None, None, [], 0, "roi")
 
     def test_larger_patch_slows_forward(self):
-        from gazedir import nn
-
         frames = bench_frames(30)
         means = {}
         for hw in ((15, 25), (42, 50)):
@@ -329,8 +399,6 @@ class TestBenchLatency:
 
     def test_crops_at_the_models_input_shape(self, monkeypatch):
         """ert's default patch is 15x25; the 42x50 models set the crop."""
-        from gazedir import dataset, nn
-
         sizes = []
         eye_pair = dataset.eye_pair
 
@@ -346,8 +414,6 @@ class TestBenchLatency:
         assert sizes == [(42, 50)] * 4
 
     def test_models_of_different_shapes_rejected(self):
-        from gazedir import nn
-
         ml = nn.build_gaze_net(15, 25, 7, seed=0)
         mr = nn.build_gaze_net(42, 50, 7, seed=1)
         with pytest.raises(ValueError, match="does not match model input"):

@@ -1,12 +1,14 @@
 """Model construction, training loop, gradient check, and binary model I/O."""
 
+import functools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gazedir import nn
+from gazedir import dataset, nn
 
 
 def dense_in_features(model):
@@ -125,6 +127,41 @@ class TestModelForward:
             probs = model.forward(x)
             assert probs.shape == (7,)
             assert abs(probs.sum() - 1.0) < 1e-6
+
+
+@functools.cache
+def gaze_net(mode, dtype):
+    """One net per (mode, dtype), shared by the batch-invariance cases."""
+    return nn.build_gaze_net(*dataset.default_patch_hw(mode), 7, seed=9).astype(dtype)
+
+
+class TestForwardBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mode=st.sampled_from(["roi", "ert"]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        b=st.integers(1, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_rows_equal_single_forwards_byte_for_byte(self, mode, dtype, b, seed):
+        model = gaze_net(mode, dtype)
+        x4 = np.random.default_rng(seed).normal(size=(b, *model.input_shape)).astype(dtype)
+        rows = model.forward_batch(x4)
+        assert rows.shape == (b, 7) and rows.dtype == dtype
+        for x, row in zip(x4, rows):
+            assert row.tobytes() == model.forward(x).tobytes()
+
+    def test_single_sample_shape_rejected(self):
+        model = nn.build_gaze_net(15, 25, 7)
+        with pytest.raises(ValueError, match="does not match model input"):
+            model.forward_batch(np.zeros((1, 15, 25), dtype=np.float32))
+
+    def test_non_finite_row_raises(self):
+        model = nn.build_gaze_net(15, 25, 7)
+        x4 = np.ones((3, 1, 15, 25), dtype=np.float32)
+        x4[2, 0, 7, 7] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            model.forward_batch(x4)
 
 
 class TestTrainEpoch:
