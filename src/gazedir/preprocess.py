@@ -52,27 +52,26 @@ def _round_px(v: float) -> int:
 # PGM / PPM codec (binary P5 / P6, 8-bit)
 # --------------------------------------------------------------------------
 
-_HEADER_READ = 256  # bytes of the first read, which holds a typical header
+_HEADER_READ = 256  # read buffer size; a default one (4-8 KiB) reads 2-4 VGA rows more
 
 
-def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    # skip whitespace and '#' comments that run to end of line
-    n = len(buf)
-    while pos < n:
-        ch = buf[pos : pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            while pos < n and buf[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not buf[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
+def _next_token(f) -> bytes:
+    """The next header token of stream f. Skips whitespace and '#' comments
+    that run to end of line, then consumes the one whitespace byte after the
+    token, so after maxval f sits at the first raster byte."""
+    ch = f.read(1)
+    while ch.isspace() or ch == b"#":
+        if ch == b"#":  # runs to the line end; b"" (EOF) is also `in` b"\n\r"
+            while ch not in b"\n\r":
+                ch = f.read(1)
+        ch = f.read(1)
+    token = bytearray()  # appends in place, so a long token costs linear time
+    while ch and not ch.isspace():
+        token += ch
+        ch = f.read(1)
+    if not token:
         raise ValueError("truncated PNM header")
-    return buf[start:pos], pos
+    return bytes(token)
 
 
 def read_pnm(path, rows=None) -> np.ndarray:
@@ -80,13 +79,14 @@ def read_pnm(path, rows=None) -> np.ndarray:
 
     Samples of a file with maxval < 255 are rescaled to 0..255 as
     floor(v * 255 / maxval + 0.5). A malformed file raises ValueError naming it.
-    The raster is read in one copy, straight into the returned array. With
-    rows=(y0, y1), only rows y0..y1-1 (clamped to the image) are read and the
-    other rows of the full-shape result stay zero. A file with maxval < 255 is
-    read whole, so every sample is still checked against maxval, and so is a
-    pipe, which cannot seek.
+    The file is read through a _HEADER_READ-byte buffer, and the raster with
+    one readinto straight into the returned array. With rows=(y0, y1), only
+    rows y0..y1-1 (clamped to the image) are read and the other rows of the
+    full-shape result stay zero. A file with maxval < 255 is read whole, so
+    every sample is still checked against maxval, and so is a pipe, which
+    cannot seek.
     """
-    with open(path, "rb", buffering=0) as f:
+    with open(path, "rb", buffering=_HEADER_READ) as f:
         try:
             return _read_pnm(f, rows)
         except ValueError as exc:
@@ -94,38 +94,20 @@ def read_pnm(path, rows=None) -> np.ndarray:
 
 
 def _read_pnm(f, rows) -> np.ndarray:
-    buf = b""
-    while True:  # a header longer than the first read is read on, in doubling steps
-        more = f.read(max(len(buf), _HEADER_READ))
-        buf += more
-        try:
-            magic, width, height, maxval, pos = _parse_header(buf)
-        except ValueError:
-            if not more:  # the whole file is in buf, so the header is bad
-                raise
-            continue
-        if pos <= len(buf) or not more:  # maxval's whitespace byte is in buf
-            break
+    magic, width, height, maxval = _parse_header(f)
     row_bytes = width * (1 if magic == b"P5" else 3)
     seekable = f.seekable()  # a pipe has no size to check and is read through
-    if seekable and os.fstat(f.fileno()).st_size - pos < height * row_bytes:
+    if seekable and os.fstat(f.fileno()).st_size - f.tell() < height * row_bytes:
         raise ValueError("raster truncated")
     img = np.zeros((height, width) if magic == b"P5" else (height, width, 3), np.uint8)
     if rows is None or maxval != 255 or not seekable:
         rows = (0, height)
     y0, y1 = (min(max(y, 0), height) for y in rows)
     view = memoryview(img).cast("B")[y0 * row_bytes : y1 * row_bytes]
-    start = pos + y0 * row_bytes
-    head = buf[start : start + len(view)]  # wanted bytes the header reads already hold
-    view[: len(head)] = head
-    view = view[len(head) :]
-    if seekable:
-        f.seek(start + len(head))
-    while view:
-        n = f.readinto(view)
-        if not n:  # the file shrank after the size check
-            raise ValueError("raster truncated")
-        view = view[n:]
+    if y0:
+        f.seek(y0 * row_bytes, os.SEEK_CUR)
+    if f.readinto(view) < len(view):  # reads on to EOF, so the file shrank
+        raise ValueError("raster truncated")
     if maxval != 255:
         if img.max() > maxval:
             raise ValueError(f"sample above maxval {maxval}")
@@ -134,14 +116,14 @@ def _read_pnm(f, rows) -> np.ndarray:
     return img
 
 
-def _parse_header(buf: bytes) -> tuple[bytes, int, int, int, int]:
-    """(magic, width, height, maxval, raster offset) of a P5/P6 header."""
-    magic, pos = _next_token(buf, 0)
+def _parse_header(f) -> tuple[bytes, int, int, int]:
+    """(magic, width, height, maxval) of a P5/P6 header read from stream f."""
+    magic = _next_token(f)
     if magic not in (b"P5", b"P6"):
         raise ValueError(f"unsupported raster format {magic!r}")
     fields = []
     for _ in range(3):
-        tok, pos = _next_token(buf, pos)
+        tok = _next_token(f)
         if not tok.isdigit():  # ASCII decimal only; int() also takes b"+5" and b"1_0"
             raise ValueError(f"PNM header field {tok!r} is not a decimal integer")
         fields.append(int(tok))
@@ -150,25 +132,28 @@ def _parse_header(buf: bytes) -> tuple[bytes, int, int, int, int]:
         raise ValueError(f"bad dimensions {width}x{height}")
     if not 0 < maxval <= 255:
         raise ValueError(f"only 8-bit rasters supported (maxval {maxval})")
-    return magic, width, height, maxval, pos + 1  # single whitespace byte after maxval
+    return magic, width, height, maxval
 
 
 def write_pgm(path, img: np.ndarray) -> None:
     if img.ndim != 2:
         raise ValueError("PGM output needs a single-channel image")
-    data = np.ascontiguousarray(img, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii"))
-        f.write(data.tobytes())
+    _write_pnm(path, b"P5", img)
 
 
 def write_ppm(path, img: np.ndarray) -> None:
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError("PPM output needs an interleaved 3-channel image")
-    data = np.ascontiguousarray(img, dtype=np.uint8)
+    _write_pnm(path, b"P6", img)
+
+
+def _write_pnm(path, magic: bytes, img: np.ndarray) -> None:
+    """Writes an 8-bit binary PNM; refuses an image read_pnm would not read back."""
+    if img.dtype != np.uint8 or img.size == 0:
+        raise ValueError(f"PNM output needs a non-empty uint8 image, got {img.dtype} {img.shape}")
     with open(path, "wb") as f:
-        f.write(f"P6\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii"))
-        f.write(data.tobytes())
+        f.write(b"%s\n%d %d\n255\n" % (magic, img.shape[1], img.shape[0]))
+        f.write(img.tobytes())
 
 
 # --------------------------------------------------------------------------
@@ -262,7 +247,10 @@ def landmark_eye_crop(inner: tuple[float, float], outer: tuple[float, float]) ->
 
 
 def crop(img: np.ndarray, box: Box) -> np.ndarray:
-    """Sub-image under the box clamped to image bounds; empty overlap is an error."""
+    """Sub-image under the box clamped to image bounds; an empty box or an empty
+    overlap is an error."""
+    if box.w <= 0 or box.h <= 0:
+        raise ValueError(f"empty crop box {box}")
     h, w = img.shape[:2]
     x0, y0 = max(box.x, 0), max(box.y, 0)
     x1, y1 = min(box.x + box.w, w), min(box.y + box.h, h)

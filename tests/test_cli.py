@@ -631,6 +631,22 @@ class TestPredictCommand:
         assert run([*args, "--eye", "both"]) == 1
         assert "coincident eye corners" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, annotations, box", [
+        # eye corners 0.2 px apart frame a 0x0 box
+        ("ert", ["--face", "10,10,100,100", "--landmarks", "27,45,27.2,45,71,45,93,45"],
+         "Box(x=27, y=45, w=0, h=0)"),
+        # a 1x1 face cuts 0x0 eye ROIs
+        ("roi", ["--face", "10,10,1,1"], "Box(x=10, y=10, w=0, h=0)"),
+    ])
+    def test_empty_eye_box_is_validation_error(self, trained, corpus, capsys, mode, annotations, box):
+        image = str(corpus / "vd_000.pgm")
+        code = run([
+            "predict", "--image", image, *annotations,
+            "--model-dir", str(trained / "models"), "--mode", mode,
+        ])
+        assert code == 1
+        assert _single_error_line(capsys.readouterr().err) == f"error: {image}: empty crop box {box}"
+
     def test_ert_without_landmarks_is_validation_error(self, trained, corpus, capsys):
         code = run([
             "predict", "--image", str(corpus / "vd_000.pgm"),

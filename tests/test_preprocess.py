@@ -103,6 +103,17 @@ class TestPnmCodec:
         with pytest.raises(OSError):
             preprocess.read_pnm(tmp_path / "absent.pgm")
 
+    @pytest.mark.parametrize("write, img", [
+        (preprocess.write_pgm, np.full((2, 2), 300, np.int64)),  # would wrap to 44
+        (preprocess.write_ppm, np.full((2, 2, 3), 255.7)),  # would truncate to 255
+        (preprocess.write_pgm, np.zeros((0, 3), np.uint8)),  # read_pnm: bad dimensions
+    ])
+    def test_writer_refuses_what_would_not_read_back(self, tmp_path, write, img):
+        path = tmp_path / "img.pnm"
+        with pytest.raises(ValueError, match="non-empty uint8 image"):
+            write(path, img)
+        assert not path.exists()
+
 
 def pnm_bytes(img: np.ndarray, maxval: int = 255, head: bytes = b"") -> bytes:
     """A P5 (2-D img) or P6 (3-D img) file; `head` goes before the magic."""
@@ -191,6 +202,28 @@ class TestPnmReadSteps:
         inside[max(rows[0], 0):max(rows[1], 0)] = True
         npt.assert_array_equal(part[inside], full[inside])
         assert not part[~inside].any()
+
+
+def _bytes_read() -> int:
+    """This process's read() byte count so far (rchar of /proc/self/io)."""
+    with open("/proc/self/io") as f:
+        return int(next(line for line in f if line.startswith("rchar:")).split()[1])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs /proc/self/io")
+def test_row_read_reads_only_its_rows(tmp_path):
+    path = tmp_path / "vga.ppm"
+    preprocess.write_ppm(path, np.zeros((480, 640, 3), np.uint8))
+    header = len(b"P6\n640 480\n255\n")
+    bound = header + preprocess._HEADER_READ + 22 * 640 * 3 + 4096  # 4 KiB of slack
+
+    def volume(rows):
+        before = _bytes_read()
+        preprocess.read_pnm(path, rows)
+        return _bytes_read() - before
+
+    assert volume((200, 222)) < bound
+    assert volume(None) > bound
 
 
 class TestToGrayscale:
@@ -412,6 +445,12 @@ class TestCrop:
         img = np.zeros((4, 4), dtype=np.uint8)
         with pytest.raises(ValueError):
             preprocess.crop(img, Box(10, 10, 2, 2))
+
+    @pytest.mark.parametrize("box", [Box(1, 1, 0, 2), Box(1, 1, 2, 0), Box(1, 1, -1, 2)])
+    def test_empty_box_rejected(self, box):
+        img = np.zeros((4, 4), dtype=np.uint8)
+        with pytest.raises(ValueError, match=rf"^empty crop box {re.escape(str(box))}$"):
+            preprocess.crop(img, box)
 
 
 class TestNormalize:
