@@ -56,19 +56,20 @@ _HEADER_READ = 256  # read buffer size; a default one (4-8 KiB) reads 2-4 VGA ro
 
 
 def _next_token(f) -> bytes:
-    """The next header token of stream f. Skips whitespace and '#' comments
-    that run to end of line, then consumes the one whitespace byte after the
-    token, so after maxval f sits at the first raster byte."""
-    ch = f.read(1)
-    while ch.isspace() or ch == b"#":
-        if ch == b"#":  # runs to the line end; b"" (EOF) is also `in` b"\n\r"
+    """The next header token of stream f. Skips whitespace, then consumes the
+    token and the one whitespace byte after it, so after maxval f sits at the
+    first raster byte. As in Netpbm's pm_getc, a '#' anywhere, even inside a
+    token, starts a comment that reads as the line end closing it."""
+    token = bytearray()  # appends in place, so a long token costs linear time
+    while True:
+        ch = f.read(1)
+        if ch == b"#":  # reads as its line end; b"" (EOF) is also `in` b"\n\r"
             while ch not in b"\n\r":
                 ch = f.read(1)
-        ch = f.read(1)
-    token = bytearray()  # appends in place, so a long token costs linear time
-    while ch and not ch.isspace():
-        token += ch
-        ch = f.read(1)
+        if ch and not ch.isspace():
+            token += ch
+        elif token or not ch:
+            break
     if not token:
         raise ValueError("truncated PNM header")
     return bytes(token)

@@ -210,6 +210,7 @@ class TestConv2d:
         # any bit pattern, -0.0 and NaN included, must be copied unchanged
         bits = np.dtype(dtype).itemsize * 8
         x = data.draw(hnp.arrays(dtype, shape, elements=st.floats(width=bits)))
+        x_bytes = x.tobytes()
         expected = oracle_conv_cols(x, kh, kw)
         buf = data.draw(st.sampled_from(["none", "match", "other"]))
         scratch = {
@@ -220,6 +221,9 @@ class TestConv2d:
         cols = nn._conv_cols(x, kh, kw, buf=scratch)
         assert cols.dtype == expected.dtype and cols.shape == expected.shape
         assert cols.tobytes() == expected.tobytes()
+        # the input is read, never written, and the columns are a copy, not a view of it
+        assert x.tobytes() == x_bytes
+        assert not np.shares_memory(cols, x)
         # a matching buffer is filled in place; any other is replaced
         assert (scratch is not None and np.shares_memory(cols, scratch)) == (buf == "match")
 

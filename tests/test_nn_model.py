@@ -163,6 +163,51 @@ class TestForwardBatch:
         with pytest.raises(FloatingPointError, match="non-finite"):
             model.forward_batch(x4)
 
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_leaves_every_layer_attribute_as_it_was(self, trained):
+        # the purity contract: no cache written, no view of a scratch array kept
+        model = nn.build_gaze_net(15, 25, 7)
+        rng = np.random.default_rng(4)
+        if trained:  # fills Conv2D._cols/_input_shape, ReLU._input, MaxPool2._winner, Dense._flat
+            x4 = rng.normal(size=(3, 1, 15, 25)).astype(np.float32)
+            model.batch_loss_and_backward(x4, np.array([0, 3, 6]))
+
+        def state(layer):  # each attribute: (the object, its contents)
+            return {k: (v, v.tobytes() if isinstance(v, np.ndarray) else v)
+                    for k, v in vars(layer).items()}
+
+        before = [state(layer) for layer in model.layers]
+        model.forward_batch(rng.normal(size=(5, 1, 15, 25)).astype(np.float32))
+        for layer, saved in zip(model.layers, before):
+            after = state(layer)
+            assert after.keys() == saved.keys()
+            for k, (v, contents) in after.items():
+                assert v is saved[k][0] and contents == saved[k][1], f"{layer.kind}.{k} changed"
+
+
+def conv_layers_with_inputs(mode):
+    """(Conv2D, its per-sample input shape) for each conv of the shared gaze net."""
+    model = gaze_net(mode, np.float32)
+    shape, out = model.input_shape, []
+    for layer in model.layers[:-2]:
+        if layer.kind == "Conv2D":
+            out.append((layer, shape))
+        shape = layer.output_shape(shape)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b", [1, 4, 32])
+@pytest.mark.parametrize("mode", ["roi", "ert"])
+def test_conv_inference_and_training_forward_agree_byte_for_byte(mode, b, dtype):
+    # one conv kernel: the cached (training) forward is the inference forward
+    rng = np.random.default_rng(b)
+    for layer, shape in conv_layers_with_inputs(mode):
+        bias = rng.normal(size=layer.bias.shape).astype(dtype)  # the net's own biases are 0
+        conv = nn.Conv2D(layer.weights.astype(dtype), bias)
+        x = rng.normal(size=(b, *shape)).astype(dtype)
+        assert conv.forward(x).tobytes() == conv.forward(x, cache=True).tobytes()
+
 
 class TestTrainEpoch:
     def test_lr_zero_leaves_weights_and_reports_eval_loss(self):

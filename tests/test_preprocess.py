@@ -37,6 +37,27 @@ class TestPnmCodec:
         assert img.shape == (2, 3)
         npt.assert_array_equal(img.ravel(), list(range(6)))
 
+    def test_comment_inside_a_token_ends_it(self, tmp_path):
+        # as in Netpbm, '#' starts a comment anywhere in the header, even mid-token
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n640#c\n 480\n255\n" + bytes(640 * 480))
+        assert preprocess.read_pnm(path).shape == (480, 640)
+        path.write_bytes(b"P#c\n5\n3 2\n255\n" + bytes(range(6)))
+        with pytest.raises(ValueError, match=r"unsupported raster format b'P'"):
+            preprocess.read_pnm(path)
+
+    @pytest.mark.parametrize("rows", [None, (1, 2)])
+    def test_comment_after_maxval_reads_as_its_newline(self, tmp_path, rows):
+        # the comment's line end is the one whitespace byte before the raster
+        path = tmp_path / "img.pgm"
+        raster = bytes([10, 35, 13, 32, 9, 200])  # starts '\n', '#', '\r', ' ', '\t'
+        path.write_bytes(b"P5\n3 2\n255#c\n" + raster)
+        img = preprocess.read_pnm(path, rows)
+        expected = np.frombuffer(raster, np.uint8).reshape(2, 3)
+        npt.assert_array_equal(img[1], expected[1])
+        if rows is None:
+            npt.assert_array_equal(img, expected)
+
     def test_16bit_maxval_rejected(self, tmp_path):
         path = tmp_path / "img.pgm"
         path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
@@ -144,6 +165,16 @@ class TestPnmReadSteps:
         path = tmp_path / "img.pnm"
         for pad in range(preprocess._HEADER_READ - 16, preprocess._HEADER_READ + 1):
             path.write_bytes(pnm_bytes(FRAMES[magic], head=b" " * pad))
+            npt.assert_array_equal(preprocess.read_pnm(path), FRAMES[magic])
+            npt.assert_array_equal(preprocess.read_pnm(path, (1, 2))[1], FRAMES[magic][1])
+
+    @pytest.mark.parametrize("magic", FRAMES)
+    def test_comment_inside_a_token_straddling_first_read(self, tmp_path, magic):
+        # the '#' in "40#c" and its line end land on either side of the read boundary
+        path = tmp_path / "img.pnm"
+        body = pnm_bytes(FRAMES[magic]).replace(b"\n40 30\n", b"\n40#c\n30\n", 1)
+        for pad in range(preprocess._HEADER_READ - 16, preprocess._HEADER_READ + 1):
+            path.write_bytes(b" " * pad + body)
             npt.assert_array_equal(preprocess.read_pnm(path), FRAMES[magic])
             npt.assert_array_equal(preprocess.read_pnm(path, (1, 2))[1], FRAMES[magic][1])
 
