@@ -47,6 +47,13 @@ def _split(cfg: RunConfig) -> dataset.SplitPair:
     return split(samples, cfg.seed)
 
 
+def _test_split(cfg: RunConfig) -> list[dataset.Sample]:
+    test = _split(cfg).test
+    if not test:
+        raise ConfigError("test split is empty")
+    return test
+
+
 def _eye_pairs(cfg: RunConfig, samples: list[dataset.Sample], split: str, eye: str = "both"):
     """(left, right) patch lists of the samples; each image is decoded once."""
     labels = [_label(cfg, s) for s in samples]
@@ -85,9 +92,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config_from(args)
-    train = _split(cfg).train
-    if not train:
-        raise ConfigError("training split is empty")
+    train = _split(cfg).train  # never empty: both splits give train at least one sample
     h, w = cfg.patch_hw
     os.makedirs(cfg.model_dir, exist_ok=True)
 
@@ -147,9 +152,7 @@ def cmd_eval(args) -> int:
     cfg = _config_from(args)
     eye = args.eye
     model_left, model_right = _load_models(cfg, cfg.model_dir, eye)
-    test = _split(cfg).test
-    if not test:
-        raise ConfigError("test split is empty")
+    test = _test_split(cfg)
     triples = _triples(_eye_pairs(cfg, test, "test", eye))
     result = fusion.evaluate(model_left, model_right, triples)
     names = dataset.class_names(cfg.classes)
@@ -188,19 +191,13 @@ def cmd_predict(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _config_from(args)
+    model_left, model_right = _load_models(cfg, cfg.model_dir, "both")
+    test = _test_split(cfg)
+    samples = [test[i % len(test)] for i in range(args.frames)]
+    report = fusion.bench_latency(
+        model_left, model_right, samples, args.warmup, cfg.mode, cfg.resolved_image_root()
+    )
     h, w = cfg.patch_hw
-    if args.model_dir is not None:
-        model_left, model_right = _load_models(cfg, args.model_dir, "both")
-    else:
-        model_left = nn.build_gaze_net(h, w, cfg.classes, seed=cfg.seed)
-        model_right = nn.build_gaze_net(h, w, cfg.classes, seed=cfg.seed + 1)
-    rng = np.random.default_rng(cfg.seed)
-    landmarks = synth.canonical_landmarks()
-    frames = []
-    for i in range(args.frames):
-        eac = EacClass(i % 7)
-        frames.append((synth.render_face(rng, eac), synth.FACE, landmarks))
-    report = fusion.bench_latency(model_left, model_right, frames, args.warmup, cfg.mode)
     print(f"{report['n_frames']} frames after {report['warmup']} warmup, patch {h}x{w}")
     print(f"{'stage':<14}{'mean ms':>10}{'p50 ms':>10}{'p95 ms':>10}")
     for name, s in (*report["stages"].items(), ("end_to_end", report["end_to_end"])):
@@ -208,8 +205,7 @@ def cmd_bench(args) -> int:
     print(f"fps {report['fps']:.1f}")
     os.makedirs(cfg.report_dir, exist_ok=True)
     bench_path = os.path.join(cfg.report_dir, "bench.json")
-    meta = _report_meta(cfg, timed_models=args.model_dir)  # None: the seeded nets
-    fusion.dump_json({**fusion.round_sig(report), **meta}, bench_path)
+    fusion.dump_json({**fusion.round_sig(report), **_report_meta(cfg)}, bench_path)
     print(f"wrote {bench_path}")
     return 0
 
@@ -227,9 +223,10 @@ def _add_fields(p: _Parser, *names: str) -> None:
         p.add_argument("--" + name.replace("_", "-"), type=parsers[name], choices=choices.get(name))
 
 
-def _add_common(p: _Parser, eye: bool = False) -> None:
+def _add_common(p: _Parser, eye: bool = False, split: bool = True) -> None:
     p.add_argument("--config", help="INI config file")
-    _add_fields(p, "seed", "mode", "classes", "manifest", "image_root", "model_dir", "report_dir")
+    split_fields = ("seed", "manifest", "image_root", "report_dir") if split else ()
+    _add_fields(p, "mode", "classes", "model_dir", *split_fields)
     if eye:
         p.add_argument("--eye", choices=dataset.EYES, default="both")
 
@@ -260,13 +257,13 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="classify one annotated image")
-    _add_common(p, eye=True)
+    _add_common(p, eye=True, split=False)
     p.add_argument("--image", required=True)
     p.add_argument("--face", required=True, help="face box as x,y,w,h")
     p.add_argument("--landmarks", help="8 comma-separated eye-corner coords")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("bench", help="per-stage inference latency benchmark")
+    p = sub.add_parser("bench", help="per-stage latency of scoring test-split images")
     _add_common(p)
     p.add_argument("--frames", type=int, default=100)
     p.add_argument("--warmup", type=int, default=10)

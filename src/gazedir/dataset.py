@@ -293,7 +293,7 @@ def extract_patch(
     return eye_pair(img, sample, mode, patch_hw, eye=side)[SIDES.index(side)]
 
 
-def _eye_rows(sample: Sample, mode: str, eye: str) -> tuple[int, int] | None:
+def eye_rows(sample: Sample, mode: str, eye: str) -> tuple[int, int] | None:
     """(y0, y1): the rows the selected eye boxes span. None (every row) when
     the boxes are bad; eye_pair then reports that after the decode, so a bad
     image is still reported first."""
@@ -320,7 +320,7 @@ def make_eye_pairs(
     out: tuple[list, list] = ([], [])
     for i, sample in enumerate(samples):
         path = os.path.join(image_root, sample.image_path)
-        img = preprocess.read_pnm(path, _eye_rows(sample, mode, eye))
+        img = preprocess.read_pnm(path, eye_rows(sample, mode, eye))
         label = int(sample.eac) if labels is None else int(labels[i])
         try:
             pair = eye_pair(img, sample, mode, hw, eye)

@@ -121,46 +121,48 @@ def evaluate(model_left, model_right, samples) -> EvalResult:
 # latency benchmark
 # --------------------------------------------------------------------------
 
-BENCH_STAGES = ("crop_resize", "normalize", "forward_left", "forward_right", "fuse")
+BENCH_STAGES = ("decode", "crop_resize", "normalize", "forward_left", "forward_right", "fuse")
 
 
-def _run_stages(model_left, model_right, frame, mode, patch_hw) -> list[float]:
-    """One frame through crop+resize / normalize / two forwards / fuse; returns
-    the perf_counter stamps before, between and after the stages."""
-    img, face, landmarks = frame
-    sample = dataset.Sample("<frame>", face, dataset.EacClass.VD, landmarks)
-
+def _run_stages(model_left, model_right, sample, mode, patch_hw, image_root) -> list[float]:
+    """One sample from its file through decode (the rows make_eye_pairs reads) /
+    crop+resize / normalize / two forwards / fuse; returns the perf_counter
+    stamps before, between and after the stages."""
     t0 = time.perf_counter()
-    patches = dataset.eye_pair(img, sample, mode, patch_hw)
+    img = preprocess.read_pnm(os.path.join(image_root, sample.image_path),
+                              dataset.eye_rows(sample, mode, "both"))
     t1 = time.perf_counter()
-    x_l, x_r = (preprocess.normalize(p) for p in patches)
+    patches = dataset.eye_pair(img, sample, mode, patch_hw)
     t2 = time.perf_counter()
-    score_l = model_left.forward(x_l)
+    x_l, x_r = (preprocess.normalize(p) for p in patches)
     t3 = time.perf_counter()
-    score_r = model_right.forward(x_r)
+    score_l = model_left.forward(x_l)
     t4 = time.perf_counter()
-    predict_class(fuse_scores(score_l, score_r))
+    score_r = model_right.forward(x_r)
     t5 = time.perf_counter()
-    return [t0, t1, t2, t3, t4, t5]
+    predict_class(fuse_scores(score_l, score_r))
+    t6 = time.perf_counter()
+    return [t0, t1, t2, t3, t4, t5, t6]
 
 
-def bench_latency(model_left, model_right, frames, warmup: int, mode: str) -> dict:
-    """Wall-clock per-stage timings in ms over all frames, after warmup iterations.
+def bench_latency(model_left, model_right, samples, warmup: int, mode: str, image_root="") -> dict:
+    """Wall-clock per-stage timings in ms over all samples, after warmup iterations.
 
-    Patches are cropped at the models' input size. Strictly single-threaded.
-    Every supplied frame contributes exactly one timing; warmup passes cycle
-    over the same frames untimed. Returns
+    Samples are read from image_root and cropped at the mode's patch size, as
+    make_eye_pairs does; strictly single-threaded. Each sample gives exactly
+    one timing; warmup passes cycle over the samples untimed. Returns
     {"stages": {name: stats}, "end_to_end": stats, "fps", "n_frames", "warmup"}
     with stats {"mean_ms", "p50_ms", "p95_ms"}.
     """
-    if len(frames) == 0:
+    if len(samples) == 0:
         raise ValueError("need at least one frame to benchmark")
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
-    hw = model_left.input_shape[1:]
+    hw = dataset.default_patch_hw(mode)
     for i in range(warmup):
-        _run_stages(model_left, model_right, frames[i % len(frames)], mode, hw)
-    stamps = np.array([_run_stages(model_left, model_right, f, mode, hw) for f in frames])
+        _run_stages(model_left, model_right, samples[i % len(samples)], mode, hw, image_root)
+    stamps = np.array([_run_stages(model_left, model_right, s, mode, hw, image_root)
+                       for s in samples])
 
     def stats(ms: np.ndarray) -> dict:
         p50, p95 = np.percentile(ms, (50, 95))
@@ -172,7 +174,7 @@ def bench_latency(model_left, model_right, frames, warmup: int, mode: str) -> di
         "stages": {name: stats(ms) for name, ms in zip(BENCH_STAGES, stage_ms)},
         "end_to_end": end_to_end,
         "fps": 1000.0 / end_to_end["mean_ms"],
-        "n_frames": len(frames),
+        "n_frames": len(samples),
         "warmup": warmup,
     }
 

@@ -160,16 +160,12 @@ class TestAcceptance:
             assert dense.weights.shape[1] == 24 * expected[-1][0] * expected[-1][1]
         conclude(6, "dual-shape-support (42x50 and 15x25 traces)")
 
-    def test_criterion_7_latency(self):
+    def test_criterion_7_latency(self, tmp_path):
         ml = nn.build_gaze_net(42, 50, 7, seed=0)
         mr = nn.build_gaze_net(42, 50, 7, seed=1)
-        rng = np.random.default_rng(3)
-        lms = synth.canonical_landmarks()
-        frames = [
-            (synth.render_face(rng, dataset.EacClass(i % 7)), synth.FACE, lms)
-            for i in range(100)
-        ]
-        report = fusion.bench_latency(ml, mr, frames, 10, "roi")
+        manifest, _ = synth.generate_corpus(tmp_path, 15, 3)
+        frames = dataset.load_manifest(manifest)[:100]  # 100 of 105 image files
+        report = fusion.bench_latency(ml, mr, frames, 10, "roi", str(tmp_path))
         inference_ms = (
             report["stages"]["forward_left"]["mean_ms"]
             + report["stages"]["forward_right"]["mean_ms"]

@@ -252,10 +252,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("command", ["train", "eval", "bench", "synth"])
     def test_negative_seed_flag_exit_1(self, corpus, tmp_path, capsys, command):
-        extra = {
-            "synth": ["--out", str(tmp_path / "out")],
-            "bench": ["--frames", "1", "--report-dir", str(tmp_path)],
-        }.get(command, ["--manifest", str(corpus / "manifest.csv"), "--model-dir", str(tmp_path)])
+        extra = (["--out", str(tmp_path / "out")] if command == "synth"
+                 else ["--manifest", str(corpus / "manifest.csv"), "--model-dir", str(tmp_path)])
         assert run([command, *extra, "--seed", "-1"]) == 1
         assert "seed must be >= 0, got -1" in _single_error_line(capsys.readouterr().err)
 
@@ -552,6 +550,28 @@ class TestEvalCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    def test_empty_test_split_exit_1(self, trained, tmp_path, capsys, command):
+        """Subject "a" has 1 of 21 images and sorts first; at seed 0 the
+        subject-disjoint split gives it to train, then "b" too."""
+        manifest, samples = synth.generate_corpus(tmp_path / "data", 3, 0)
+        samples = [dataclasses.replace(s, subject_id="b" if i else "a")
+                   for i, s in enumerate(samples)]
+        dataset.write_manifest(manifest, samples)
+        split = dataset.split_subject_disjoint(samples, 0)
+        assert (len(split.train), len(split.test)) == (21, 0)
+        ini = tmp_path / "subj.ini"
+        ini.write_text("[data]\nsubject_split = true\n")
+        reports = tmp_path / "reports"
+        code = run([
+            command, "--config", str(ini), "--manifest", manifest,
+            "--model-dir", str(trained / "models"), "--report-dir", str(reports),
+            "--mode", "ert", "--seed", "0",
+        ])
+        assert code == 1
+        assert _single_error_line(capsys.readouterr().err) == "error: test split is empty"
+        assert not reports.exists()
+
 
 class TestPredictCommand:
     def test_prediction_json(self, trained, corpus, capsys):
@@ -572,6 +592,19 @@ class TestPredictCommand:
         assert out["class"] in [c.name for c in dataset.EacClass]
         assert len(out["scores"]) == 7
         assert abs(sum(out["scores"]) - 1.0) < 1e-4
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "7"), ("--manifest", "/nonexistent.csv"),
+        ("--image-root", "/nonexistent"), ("--report-dir", "/nonexistent"),
+    ])
+    def test_flags_it_never_reads_exit_1(self, trained, corpus, capsys, flag, value):
+        """predict reads no manifest split and writes no report."""
+        assert _predict_ert(corpus, trained / "models") == 0
+        capsys.readouterr()
+        assert _predict_ert(corpus, trained / "models", flag, value) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in _single_error_line(captured.err)
 
     def test_deterministic(self, trained, corpus, capsys):
         face = synth.FACE
@@ -666,9 +699,10 @@ class TestPredictCommand:
 
 
 class TestBenchCommand:
-    def test_report(self, tmp_path, capsys):
+    def test_report(self, trained, corpus, tmp_path, capsys):
         code = run([
             "bench", "--frames", "5", "--warmup", "2",
+            "--manifest", str(corpus / "manifest.csv"), "--model-dir", str(trained / "models"),
             "--report-dir", str(tmp_path), "--mode", "ert", "--seed", "0",
         ])
         assert code == 0
@@ -676,36 +710,74 @@ class TestBenchCommand:
         assert blob["n_frames"] == 5 and blob["warmup"] == 2
         assert blob["fps"] > 0
         assert set(blob["stages"]) == set(
-            ("crop_resize", "normalize", "forward_left", "forward_right", "fuse")
+            ("decode", "crop_resize", "normalize", "forward_left", "forward_right", "fuse")
         )
-        assert blob["timed_models"] is None  # the seeded untrained nets
+        assert "timed_models" not in blob and blob["seed"] == 0
         out = capsys.readouterr().out
         assert "fps" in out and "end_to_end" in out
 
-    def test_negative_warmup_exit_1(self, tmp_path, capsys):
+    def test_frames_cycle_over_the_test_split(self, trained, corpus, tmp_path, monkeypatch):
+        read = []
+        read_pnm = preprocess.read_pnm
+        monkeypatch.setattr(preprocess, "read_pnm",
+                            lambda path, rows=None: read.append(path) or read_pnm(path, rows))
+        manifest = str(corpus / "manifest.csv")
+        assert run([
+            "bench", "--frames", "9", "--warmup", "3", "--manifest", manifest,
+            "--model-dir", str(trained / "models"), "--report-dir", str(tmp_path),
+            "--mode", "ert", "--seed", "2",
+        ]) == 0
+        test = dataset.split_50_50(dataset.load_manifest(manifest), 2).test  # 7 of 14
+        expected = [test[i % 7] for i in range(3)] + [test[i % 7] for i in range(9)]
+        assert read == [os.path.join(str(corpus), s.image_path) for s in expected]
+
+    def test_negative_warmup_exit_1(self, trained, corpus, tmp_path, capsys):
         code = run([
             "bench", "--frames", "2", "--warmup", "-4",
+            "--manifest", str(corpus / "manifest.csv"), "--model-dir", str(trained / "models"),
             "--report-dir", str(tmp_path), "--mode", "ert",
         ])
         assert code == 1
         assert "warmup" in _single_error_line(capsys.readouterr().err)
         assert not (tmp_path / "bench.json").exists()
 
-    def test_trained_models(self, trained, tmp_path, capsys, monkeypatch):
+    def test_no_manifest_exit_1(self, trained, tmp_path, capsys):
+        code = run([
+            "bench", "--model-dir", str(trained / "models"), "--report-dir", str(tmp_path),
+            "--mode", "ert",
+        ])
+        assert code == 1
+        assert "no manifest configured" in _single_error_line(capsys.readouterr().err)
+        assert not (tmp_path / "bench.json").exists()
+
+    def test_trained_models(self, trained, corpus, tmp_path, capsys, monkeypatch):
         loaded = []
         load_model = nn.load_model
         monkeypatch.setattr(nn, "load_model", lambda path: loaded.append(path) or load_model(path))
         args = [
-            "bench", "--frames", "3", "--warmup", "1",
+            "bench", "--frames", "3", "--warmup", "1", "--manifest", str(corpus / "manifest.csv"),
             "--model-dir", str(trained / "models"), "--report-dir", str(tmp_path),
         ]
         assert run([*args, "--mode", "ert"]) == 0
         assert [os.path.basename(p) for p in loaded] == [cli.MODEL_LEFT, cli.MODEL_RIGHT]
         blob = json.loads((tmp_path / "bench.json").read_text())
-        assert blob["n_frames"] == 3 and blob["timed_models"] == str(trained / "models")
+        assert blob["n_frames"] == 3
         # the ert-trained models take 15x25 patches, roi mode makes 42x50
         assert run([*args, "--mode", "roi"]) == 1
         assert "does not match" in _single_error_line(capsys.readouterr().err)
+
+    def test_config_file_model_dir(self, trained, corpus, tmp_path, monkeypatch):
+        """`model_dir` from a config file is read as eval reads it."""
+        loaded = []
+        load_model = nn.load_model
+        monkeypatch.setattr(nn, "load_model", lambda path: loaded.append(path) or load_model(path))
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[train]\nmodel_dir = {trained / 'models'}\n")
+        assert run([
+            "bench", "--config", str(ini), "--frames", "2", "--warmup", "0",
+            "--manifest", str(corpus / "manifest.csv"), "--report-dir", str(tmp_path),
+        ]) == 0
+        assert loaded == [str(trained / "models" / n) for n in (cli.MODEL_LEFT, cli.MODEL_RIGHT)]
 
 
 class TestExitCodes:
@@ -720,7 +792,7 @@ class TestExitCodes:
         assert run(["train", "--config", "/nonexistent/run.ini"]) == 2
 
 
-def _predict_ert(corpus, model_dir):
+def _predict_ert(corpus, model_dir, *extra):
     face = synth.FACE
     lm = synth.canonical_landmarks()
     landmarks = ",".join(
@@ -730,7 +802,7 @@ def _predict_ert(corpus, model_dir):
     return run([
         "predict", "--image", str(corpus / "vd_000.pgm"),
         "--face", f"{face.x},{face.y},{face.w},{face.h}", "--landmarks", landmarks,
-        "--model-dir", str(model_dir), "--mode", "ert",
+        "--model-dir", str(model_dir), "--mode", "ert", *extra,
     ])
 
 

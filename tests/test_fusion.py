@@ -1,6 +1,7 @@
 """Score fusion, metrics, report emission, and the latency harness."""
 
 import json
+import os
 import time
 
 import numpy as np
@@ -333,36 +334,36 @@ class TestEmitReport:
         assert blob["per_class_accuracy"]["B"] is None
 
 
-def bench_frames(n, seed=0):
-    rng = np.random.default_rng(seed)
-    lms = synth.canonical_landmarks()
-    return [
-        (synth.render_face(rng, synth.EacClass(i % 7)), synth.FACE, lms)
-        for i in range(n)
-    ]
+@pytest.fixture
+def corpus(tmp_path):
+    """(image root, samples) of a 14-image synthetic corpus written under tmp_path."""
+    manifest, _ = synth.generate_corpus(tmp_path, 2, 0)
+    return str(tmp_path), dataset.load_manifest(manifest)
 
 
 class TestBenchLatency:
-    def test_counts_and_fps_relation(self):
+    def test_counts_and_fps_relation(self, corpus):
+        root, samples = corpus
         ml = nn.build_gaze_net(15, 25, 7, seed=0)
         mr = nn.build_gaze_net(15, 25, 7, seed=1)
-        report = fusion.bench_latency(ml, mr, bench_frames(12), 3, "ert")
+        report = fusion.bench_latency(ml, mr, samples[:12], 3, "ert", root)
         assert report["n_frames"] == 12 and report["warmup"] == 3
         assert set(report["stages"]) == set(fusion.BENCH_STAGES)
         npt.assert_allclose(report["fps"], 1000.0 / report["end_to_end"]["mean_ms"], rtol=1e-9)
 
-    def test_end_to_end_dominates_stages(self):
+    def test_end_to_end_dominates_stages(self, corpus):
+        root, samples = corpus
         ml = nn.build_gaze_net(15, 25, 7, seed=0)
         mr = nn.build_gaze_net(15, 25, 7, seed=1)
-        report = fusion.bench_latency(ml, mr, bench_frames(10), 2, "ert")
+        report = fusion.bench_latency(ml, mr, samples[:10], 2, "ert", root)
         worst_stage = max(s["mean_ms"] for s in report["stages"].values())
         assert report["end_to_end"]["mean_ms"] >= worst_stage
 
-    def test_monotone_under_injected_delay(self, monkeypatch):
+    def test_monotone_under_injected_delay(self, corpus, monkeypatch):
+        root, samples = corpus
         ml = nn.build_gaze_net(15, 25, 7, seed=0)
         mr = nn.build_gaze_net(15, 25, 7, seed=1)
-        frames = bench_frames(8)
-        base = fusion.bench_latency(ml, mr, frames, 2, "ert")
+        base = fusion.bench_latency(ml, mr, samples[:8], 2, "ert", root)
 
         slow_normalize = preprocess.normalize
 
@@ -371,50 +372,57 @@ class TestBenchLatency:
             return slow_normalize(img)
 
         monkeypatch.setattr(preprocess, "normalize", delayed)
-        slowed = fusion.bench_latency(ml, mr, frames, 2, "ert")
+        slowed = fusion.bench_latency(ml, mr, samples[:8], 2, "ert", root)
         # two normalize calls per frame -> at least ~10 ms extra
         assert slowed["stages"]["normalize"]["mean_ms"] > base["stages"]["normalize"]["mean_ms"] + 8
         assert slowed["end_to_end"]["mean_ms"] > base["end_to_end"]["mean_ms"] + 8
 
     @pytest.mark.parametrize("mode", ["rio", "ERT"])
-    def test_unknown_mode_rejected(self, mode):
+    def test_unknown_mode_rejected(self, corpus, mode):
+        root, samples = corpus
         ml = nn.build_gaze_net(15, 25, 7, seed=0)
         mr = nn.build_gaze_net(15, 25, 7, seed=1)
         with pytest.raises(ValueError, match=f"mode must be roi or ert, got '{mode}'"):
-            fusion.bench_latency(ml, mr, bench_frames(2), 0, mode)
+            fusion.bench_latency(ml, mr, samples[:2], 0, mode, root)
 
     def test_empty_frames_rejected(self):
         with pytest.raises(ValueError):
             fusion.bench_latency(None, None, [], 0, "roi")
 
-    def test_larger_patch_slows_forward(self):
-        frames = bench_frames(30)
-        means = {}
-        for hw in ((15, 25), (42, 50)):
-            ml = nn.build_gaze_net(*hw, 7, seed=0)
-            mr = nn.build_gaze_net(*hw, 7, seed=1)
-            report = fusion.bench_latency(ml, mr, frames, 5, "roi")
-            means[hw] = report["stages"]["forward_left"]["mean_ms"]
-        assert means[(42, 50)] > means[(15, 25)]
+    @pytest.mark.parametrize("mode", ["roi", "ert"])
+    def test_decode_reads_the_rows_make_eye_pairs_reads(self, corpus, monkeypatch, mode):
+        root, samples = corpus
+        reads = []
+        read_pnm = preprocess.read_pnm
 
-    def test_crops_at_the_models_input_shape(self, monkeypatch):
-        """ert's default patch is 15x25; the 42x50 models set the crop."""
-        sizes = []
-        eye_pair = dataset.eye_pair
+        def spy(path, rows=None):
+            reads.append((path, rows))
+            return read_pnm(path, rows)
 
-        def spy(gray, sample, mode, patch_hw, *rest):
-            sizes.append(tuple(patch_hw))
-            return eye_pair(gray, sample, mode, patch_hw, *rest)
+        monkeypatch.setattr(preprocess, "read_pnm", spy)
+        ml = nn.build_gaze_net(*dataset.default_patch_hw(mode), 7, seed=0)
+        mr = nn.build_gaze_net(*dataset.default_patch_hw(mode), 7, seed=1)
+        fusion.bench_latency(ml, mr, samples[:3], 2, mode, root)
+        timed = [samples[0], samples[1], *samples[:3]]  # two warmup passes, then each sample
+        assert reads == [
+            (os.path.join(root, s.image_path), dataset.eye_rows(s, mode, "both")) for s in timed
+        ]
+        assert None not in (rows for _, rows in reads)
+        bench_reads, reads[:] = list(reads), []
+        dataset.make_eye_pairs(samples[:3], mode, root)
+        assert reads == bench_reads[2:]
 
-        monkeypatch.setattr(dataset, "eye_pair", spy)
+    def test_ert_crops_do_not_fit_42x50_models(self, corpus):
+        """The patch size is the mode's, whatever size the models take."""
+        root, samples = corpus
         ml = nn.build_gaze_net(42, 50, 7, seed=0)
         mr = nn.build_gaze_net(42, 50, 7, seed=1)
-        report = fusion.bench_latency(ml, mr, bench_frames(3), 1, "ert")
-        assert report["n_frames"] == 3
-        assert sizes == [(42, 50)] * 4
+        with pytest.raises(ValueError, match="does not match model input"):
+            fusion.bench_latency(ml, mr, samples[:2], 0, "ert", root)
 
-    def test_models_of_different_shapes_rejected(self):
+    def test_models_of_different_shapes_rejected(self, corpus):
+        root, samples = corpus
         ml = nn.build_gaze_net(15, 25, 7, seed=0)
         mr = nn.build_gaze_net(42, 50, 7, seed=1)
         with pytest.raises(ValueError, match="does not match model input"):
-            fusion.bench_latency(ml, mr, bench_frames(2), 0, "ert")
+            fusion.bench_latency(ml, mr, samples[:2], 0, "ert", root)
