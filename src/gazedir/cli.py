@@ -94,10 +94,9 @@ def cmd_train(args) -> int:
     cfg = _config_from(args)
     train = _split(cfg).train  # never empty: both splits give train at least one sample
     h, w = cfg.patch_hw
-    os.makedirs(cfg.model_dir, exist_ok=True)
 
     # both sides train before anything is written, so a failed run leaves
-    # the previous model pair and log as they were
+    # the previous model pair and log as they were, and makes no model_dir
     models, losses = [], []  # per side; losses per epoch
     pairs = _eye_pairs(cfg, train, "train")
     for seed_offset, (side, patches) in enumerate(zip(dataset.SIDES, pairs)):
@@ -115,6 +114,7 @@ def cmd_train(args) -> int:
             print(f"[{side}] epoch {epoch + 1}/{cfg.epochs} mean loss {loss:.6f}")
         models.append(model)
         losses.append(side_losses)
+    os.makedirs(cfg.model_dir, exist_ok=True)
     for model, filename in zip(models, (MODEL_LEFT, MODEL_RIGHT)):
         nn.save_model(model, os.path.join(cfg.model_dir, filename))
 
@@ -128,10 +128,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_models(cfg: RunConfig, model_dir: str, eye: str):
+def _load_models(cfg: RunConfig, eye: str):
     """(left, right) models; an eye that `eye` does not select is None."""
     models = tuple(
-        nn.load_model(os.path.join(model_dir, filename)) if wanted else None
+        nn.load_model(os.path.join(cfg.model_dir, filename)) if wanted else None
         for wanted, filename in zip(dataset.eye_selection(eye), (MODEL_LEFT, MODEL_RIGHT))
     )
     for model in filter(None, models):
@@ -151,7 +151,7 @@ def _load_models(cfg: RunConfig, model_dir: str, eye: str):
 def cmd_eval(args) -> int:
     cfg = _config_from(args)
     eye = args.eye
-    model_left, model_right = _load_models(cfg, cfg.model_dir, eye)
+    model_left, model_right = _load_models(cfg, eye)
     test = _test_split(cfg)
     triples = _triples(_eye_pairs(cfg, test, "test", eye))
     result = fusion.evaluate(model_left, model_right, triples)
@@ -176,10 +176,9 @@ def cmd_predict(args) -> int:
     landmarks = dataset.parse_landmarks(args.landmarks.split(",")) if args.landmarks else None
     sample = dataset.Sample(args.image, face, EacClass.VD, landmarks)
     pairs = dataset.make_eye_pairs([sample], cfg.mode, split="test", eye=eye)
-    model_left, model_right = _load_models(cfg, cfg.model_dir, eye)
+    model_left, model_right = _load_models(cfg, eye)
     (x_left, x_right, _), = _triples(pairs)
-    stacks = (x if x is None else x[None] for x in (x_left, x_right))
-    score = fusion.score_pair(model_left, model_right, *stacks)[0]
+    score = fusion.score_pair(model_left, model_right, [x_left], [x_right])[0]
     label = fusion.predict_class(score)
     out = {
         "class": dataset.class_names(cfg.classes)[label],
@@ -191,7 +190,7 @@ def cmd_predict(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _config_from(args)
-    model_left, model_right = _load_models(cfg, cfg.model_dir, "both")
+    model_left, model_right = _load_models(cfg, "both")
     test = _test_split(cfg)
     samples = [test[i % len(test)] for i in range(args.frames)]
     report = fusion.bench_latency(

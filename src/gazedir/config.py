@@ -116,6 +116,9 @@ class RunConfig:
             raise ConfigError("epochs must be >= 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if "" in (self.model_dir, self.report_dir):
+            raise ConfigError(
+                "model_dir and report_dir must not be empty; use . for the working directory")
         missing = [c.name for c in EacClass if c not in self.map3]
         if missing:
             raise ConfigError(f"[map3] missing entries: {', '.join(missing)}")

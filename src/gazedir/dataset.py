@@ -277,13 +277,16 @@ def eye_pair(
     """(left, right) patches of one decoded (H, W) or (H, W, 3) image: each eye
     box is cropped, the crop greyed, and the grey crop resized to patch_hw. Luma
     is per pixel, so this equals greying the whole frame first. An eye that
-    `eye` does not select is None and is not cropped."""
+    `eye` does not select is None and is not cropped. Errors name the image."""
     h, w = patch_hw
-    return tuple(
-        None if box is None
-        else preprocess.resize_bilinear(preprocess.to_grayscale(preprocess.crop(img, box)), w, h)
-        for box in eye_boxes(sample, mode, eye)
-    )
+    try:
+        return tuple(
+            None if box is None else preprocess.resize_bilinear(
+                preprocess.to_grayscale(preprocess.crop(img, box)), w, h)
+            for box in eye_boxes(sample, mode, eye)
+        )
+    except ValueError as exc:
+        raise ValueError(f"{sample.image_path}: {exc}") from None
 
 
 def extract_patch(
@@ -293,15 +296,16 @@ def extract_patch(
     return eye_pair(img, sample, mode, patch_hw, eye=side)[SIDES.index(side)]
 
 
-def eye_rows(sample: Sample, mode: str, eye: str) -> tuple[int, int] | None:
-    """(y0, y1): the rows the selected eye boxes span. None (every row) when
-    the boxes are bad; eye_pair then reports that after the decode, so a bad
-    image is still reported first."""
+def read_frame(sample: Sample, mode: str, image_root: str = "", eye: str = "both") -> np.ndarray:
+    """The sample's image, read only over the rows its selected eye boxes span;
+    every row when the boxes are bad, which eye_pair reports after the decode,
+    so a bad image is still reported first."""
     try:
         boxes = [box for box in eye_boxes(sample, mode, eye) if box is not None]
+        rows = min(box.y for box in boxes), max(box.y + box.h for box in boxes)
     except ValueError:
-        return None
-    return min(box.y for box in boxes), max(box.y + box.h for box in boxes)
+        rows = None
+    return preprocess.read_pnm(os.path.join(image_root, sample.image_path), rows)
 
 
 def make_eye_pairs(
@@ -319,14 +323,9 @@ def make_eye_pairs(
     hw = default_patch_hw(mode)
     out: tuple[list, list] = ([], [])
     for i, sample in enumerate(samples):
-        path = os.path.join(image_root, sample.image_path)
-        img = preprocess.read_pnm(path, eye_rows(sample, mode, eye))
+        img = read_frame(sample, mode, image_root, eye)
         label = int(sample.eac) if labels is None else int(labels[i])
-        try:
-            pair = eye_pair(img, sample, mode, hw, eye)
-        except ValueError as exc:
-            raise ValueError(f"{sample.image_path}: {exc}") from None
-        for patches, pixels in zip(out, pair):
+        for patches, pixels in zip(out, eye_pair(img, sample, mode, hw, eye)):
             patches.append(None if pixels is None else EyePatch(pixels, label, split))
     return out
 

@@ -76,15 +76,14 @@ EVAL_CHUNK = 4
 
 
 def score_pair(model_left, model_right, x_left, x_right) -> np.ndarray:
-    """Scores stacked eye pairs, (B, 1, H, W) each, as (B, n_classes): the
-    fused mean of both networks' softmax, or one network's softmax when the
-    other model is None (its stack may be None). Each row is byte-identical
-    to scoring that pair alone."""
-    if model_left is None:
-        return model_right.forward_batch(x_right)
-    if model_right is None:
-        return model_left.forward_batch(x_left)
-    return fuse_scores(model_left.forward_batch(x_left), model_right.forward_batch(x_right))
+    """Scores B eye pairs as (B, n_classes); each eye is a sequence of B
+    (1, H, W) tensors, such as a (B, 1, H, W) array, stacked here. The fused
+    mean of both networks' softmax, or one network's softmax when the other
+    model is None (its input is not read). Each row is byte-identical to
+    scoring that pair alone."""
+    scores = [model.forward_batch(np.stack(x)) for model, x
+              in ((model_left, x_left), (model_right, x_right)) if model is not None]
+    return fuse_scores(*scores) if len(scores) == 2 else scores[0]
 
 
 def evaluate(model_left, model_right, samples) -> EvalResult:
@@ -104,10 +103,8 @@ def evaluate(model_left, model_right, samples) -> EvalResult:
             raise ValueError(f"sample {i}: label {label} outside [0, {cm.n_classes})")
     for start in range(0, len(samples), EVAL_CHUNK):
         lefts, rights, labels = zip(*samples[start : start + EVAL_CHUNK])
-        stacks = (None if m is None else np.stack(xs)
-                  for m, xs in ((model_left, lefts), (model_right, rights)))
         try:
-            scores = score_pair(model_left, model_right, *stacks)
+            scores = score_pair(model_left, model_right, lefts, rights)
         except FloatingPointError as exc:
             raise FloatingPointError(
                 f"samples {start}..{start + len(labels) - 1}: {exc}"
@@ -125,12 +122,11 @@ BENCH_STAGES = ("decode", "crop_resize", "normalize", "forward_left", "forward_r
 
 
 def _run_stages(model_left, model_right, sample, mode, patch_hw, image_root) -> list[float]:
-    """One sample from its file through decode (the rows make_eye_pairs reads) /
-    crop+resize / normalize / two forwards / fuse; returns the perf_counter
+    """One sample from its file through decode / crop+resize (the two calls of
+    make_eye_pairs) / normalize / two forwards / fuse; returns the perf_counter
     stamps before, between and after the stages."""
     t0 = time.perf_counter()
-    img = preprocess.read_pnm(os.path.join(image_root, sample.image_path),
-                              dataset.eye_rows(sample, mode, "both"))
+    img = dataset.read_frame(sample, mode, image_root)
     t1 = time.perf_counter()
     patches = dataset.eye_pair(img, sample, mode, patch_hw)
     t2 = time.perf_counter()

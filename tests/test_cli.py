@@ -257,6 +257,35 @@ class TestConfig:
         assert run([command, *extra, "--seed", "-1"]) == 1
         assert "seed must be >= 0, got -1" in _single_error_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["train", "eval", "bench"])
+    @pytest.mark.parametrize("field", ["model_dir", "report_dir"])
+    def test_empty_output_dir_flag_exit_1(
+        self, trained, corpus, tmp_path, capsys, monkeypatch, command, field
+    ):
+        """Rejected before any work, so nothing is written; "" never stands
+        for the working directory."""
+        monkeypatch.chdir(tmp_path)
+        dirs = {"model_dir": "models" if command == "train" else str(trained / "models"),
+                "report_dir": "reports", field: ""}
+        extra = ["--epochs", "1"] if command == "train" else []
+        code = run([
+            command, "--manifest", str(corpus / "manifest.csv"), "--mode", "ert",
+            "--model-dir", dirs["model_dir"], "--report-dir", dirs["report_dir"], *extra,
+        ])
+        assert code == 1
+        assert _single_error_line(capsys.readouterr().err) == EMPTY_DIR_ERROR
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_model_dir_in_config_file_exit_1(self, corpus, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        ini = tmp_path / "run.ini"
+        ini.write_text("[train]\nmodel_dir =\n")
+        code = run(["train", "--config", str(ini), "--manifest", str(corpus / "manifest.csv"),
+                    "--mode", "ert", "--epochs", "1"])
+        assert code == 1
+        assert _single_error_line(capsys.readouterr().err) == EMPTY_DIR_ERROR
+        assert list(tmp_path.iterdir()) == [ini]
+
     def test_augment_defaults_are_the_policy_defaults(self):
         cfg = RunConfig()
         assert cfg.policy == AugmentPolicy()
@@ -766,6 +795,35 @@ class TestBenchCommand:
         assert run([*args, "--mode", "roi"]) == 1
         assert "does not match" in _single_error_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("annotations", ["no-landmarks", "right-eye-off-image"])
+    def test_crop_error_names_the_image_as_eval_does(
+        self, trained, corpus, tmp_path, capsys, annotations
+    ):
+        samples = dataset.load_manifest(corpus / "manifest.csv")
+        if annotations == "no-landmarks":
+            samples = [dataclasses.replace(s, landmarks=None) for s in samples]
+            reason = "ert mode needs eye-corner landmarks"
+        else:  # as in TestEvalCommand.test_unscored_eye_is_not_cropped
+            samples = [dataclasses.replace(s, landmarks=dataclasses.replace(
+                s.landmarks, right_inner=(500.0, 45.0), right_outer=(522.0, 45.0)))
+                for s in samples]
+            reason = "crop box"
+        manifest = tmp_path / "bad.csv"
+        dataset.write_manifest(manifest, samples)
+        first = dataset.split_50_50(samples, 1).test[0].image_path
+        errors = []
+        for command in ("eval", "bench"):
+            reports = tmp_path / command
+            assert run([
+                command, "--manifest", str(manifest), "--image-root", str(corpus),
+                "--model-dir", str(trained / "models"), "--report-dir", str(reports),
+                "--mode", "ert", "--seed", "1",
+            ]) == 1
+            errors.append(capsys.readouterr().err)
+            assert _single_error_line(errors[-1]).startswith(f"error: {first}: {reason}")
+            assert not reports.exists()
+        assert errors[0] == errors[1]
+
     def test_config_file_model_dir(self, trained, corpus, tmp_path, monkeypatch):
         """`model_dir` from a config file is read as eval reads it."""
         loaded = []
@@ -820,6 +878,9 @@ def _single_error_line(err):
     return lines[0]
 
 
+EMPTY_DIR_ERROR = (
+    "error: model_dir and report_dir must not be empty; use . for the working directory"
+)
 HEADER = ",".join(dataset.MANIFEST_COLUMNS)
 GOOD_FACE = "10,10,100,100"
 GOOD_LANDMARKS = "27,45,49,45,71,45,93,45"
@@ -858,6 +919,7 @@ class TestRuntimeFailures:
         ])
         assert code == 1
         assert "diverged" in _single_error_line(capsys.readouterr().err)
+        assert not (tmp_path / "models").exists()
 
     def test_non_finite_lr_exit_1(self, corpus, tmp_path, capsys):
         code = run([
@@ -982,6 +1044,7 @@ class TestRuntimeFailures:
         assert code == 1
         line = _single_error_line(capsys.readouterr().err)
         assert re.search(r"vd_00[01]\.pgm: non-finite", line), line
+        assert not (tmp_path / "models").exists()
 
 
 @pytest.mark.parametrize("flag, text", [

@@ -464,7 +464,8 @@ def pair_or_error(make):
 
 class TestRowRead:
     """make_eye_pairs reads only the rows its eye boxes span; its patches and
-    its errors are those of eye_pair on the whole decoded frame."""
+    its errors are those of eye_pair on the whole decoded frame, which name
+    the image."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -482,7 +483,8 @@ class TestRowRead:
         got = pair_or_error(lambda: [
             p and p.pixels
             for p, in dataset.make_eye_pairs([sample], mode, str(tmp_path), eye=eye)])
-        assert got == (want if isinstance(want, list) else f"frame.pnm: {want}")
+        assert isinstance(want, list) or want.startswith("frame.pnm: ")
+        assert got == want
 
     @pytest.mark.parametrize("face_y", [-200, 30, 200])  # above, across, below
     @pytest.mark.parametrize("face_x", [-200, 200])      # left, right

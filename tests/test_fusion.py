@@ -212,6 +212,16 @@ class TestScorePair:
             score = fusion.score_pair(None, present, None, stack)
         assert score is present.returned
 
+    @pytest.mark.parametrize("eye", ["left", "right", "both"])
+    def test_list_of_tensors_scores_as_their_stack(self, eye):
+        """Each eye may come as B (1, H, W) tensors; an unscored eye's are None."""
+        ml, mr = eye_models(eye)
+        lefts, rights, _ = zip(*random_triples(3, eye, seed=5))
+        stacks = (None if xs[0] is None else np.stack(xs) for xs in (lefts, rights))
+        want = fusion.score_pair(ml, mr, *stacks)
+        assert want.shape == (3, 7)
+        assert fusion.score_pair(ml, mr, list(lefts), list(rights)).tobytes() == want.tobytes()
+
 
 def random_triples(n, eye, seed=0):
     """n (left, right, label) triples of random 15x25 eyes; an eye that
@@ -404,9 +414,12 @@ class TestBenchLatency:
         mr = nn.build_gaze_net(*dataset.default_patch_hw(mode), 7, seed=1)
         fusion.bench_latency(ml, mr, samples[:3], 2, mode, root)
         timed = [samples[0], samples[1], *samples[:3]]  # two warmup passes, then each sample
-        assert reads == [
-            (os.path.join(root, s.image_path), dataset.eye_rows(s, mode, "both")) for s in timed
-        ]
+
+        def span(s):  # the rows both eye boxes span
+            boxes = dataset.eye_boxes(s, mode, "both")
+            return min(b.y for b in boxes), max(b.y + b.h for b in boxes)
+
+        assert reads == [(os.path.join(root, s.image_path), span(s)) for s in timed]
         assert None not in (rows for _, rows in reads)
         bench_reads, reads[:] = list(reads), []
         dataset.make_eye_pairs(samples[:3], mode, root)
