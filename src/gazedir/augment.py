@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import preprocess
-from .dataset import EyePatch
+from .dataset import EyePatch, patch_stacks
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,14 @@ def rotate(img: np.ndarray, degrees: float) -> np.ndarray:
     Sampling coordinates are clamped to the image, so out-of-source pixels
     replicate the nearest edge. Output dimensions match the input.
     """
-    if img.ndim != 2:
+    return _rotate(img[None], degrees)[0]
+
+
+def _rotate(stack: np.ndarray, degrees: float) -> np.ndarray:
+    """rotate over an (N, h, w) stack."""
+    if stack.ndim != 3:
         raise ValueError("rotate expects a single-channel image")
-    h, w = img.shape
+    h, w = stack.shape[1:]
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     rad = math.radians(degrees)
     cos_t, sin_t = math.cos(rad), math.sin(rad)
@@ -54,33 +59,52 @@ def rotate(img: np.ndarray, degrees: float) -> np.ndarray:
     v = (np.arange(h) - cy)[:, None]
     xs = np.clip(cx + u * cos_t - v * sin_t, 0, w - 1)
     ys = np.clip(cy + u * sin_t + v * cos_t, 0, h - 1)
-    return _restore_dtype(preprocess.bilinear_sample(img, xs, ys), img)
+    return _restore_dtype(preprocess.bilinear_sample(stack, xs, ys), stack)
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian with radius ceil(3*sigma) and edge replication."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    if img.ndim != 2:
+    return _blur(img[None], sigma)[0]
+
+
+def _blur(stack: np.ndarray, sigma: float) -> np.ndarray:
+    """gaussian_blur over an (N, h, w) stack."""
+    if stack.ndim != 3:
         raise ValueError("gaussian_blur expects a single-channel image")
     if sigma < 1e-6:
-        return img.copy()
+        return stack.copy()
     radius = math.ceil(3 * sigma)
     taps = np.exp(-np.arange(-radius, radius + 1) ** 2 / (2 * sigma * sigma))
     taps /= taps.sum()
-    out = img.astype(np.float64, copy=False)
-    for axis in (1, 0):
-        pad = [(0, 0), (0, 0)]
-        pad[axis] = (radius, radius)
-        padded = np.pad(out, pad, mode="edge")
-        acc = np.zeros_like(out)
-        for k, tap in enumerate(taps):
-            if axis == 1:
-                acc += tap * padded[:, k : k + img.shape[1]]
-            else:
-                acc += tap * padded[k : k + img.shape[0], :]
-        out = acc
-    return _restore_dtype(out, img)
+    out = stack.astype(np.float64, copy=False)
+    for axis in (2, 1):
+        out = _correlate_edge(out, taps, axis)
+    return _restore_dtype(out, stack)
+
+
+def _correlate_edge(x: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
+    """x correlated with taps along axis, edge-replicated, summed tap by tap in
+    order. A tap whose window lies wholly in an edge margin reads that edge
+    alone, so the pad is at most the axis length for any radius."""
+    radius, n = len(taps) // 2, x.shape[axis]
+    margin = min(radius, n)
+    lead = (slice(None),) * axis
+    pad = [(0, 0)] * x.ndim
+    pad[axis] = (margin, margin)
+    padded = np.pad(x, pad, mode="edge")
+    first, last = x[lead + (slice(0, 1),)], x[lead + (slice(n - 1, n),)]
+    acc = np.zeros_like(x)
+    for k, tap in enumerate(taps):
+        start = k - radius + margin  # the window's start in padded
+        if start < 0:
+            acc += tap * first
+        elif start > 2 * margin:
+            acc += tap * last
+        else:
+            acc += tap * padded[lead + (slice(start, start + n),)]
+    return acc
 
 
 def rescale(img: np.ndarray, factor: float) -> np.ndarray:
@@ -92,45 +116,55 @@ def rescale(img: np.ndarray, factor: float) -> np.ndarray:
     """
     if factor <= 0:
         raise ValueError("scale factor must be > 0")
-    if img.ndim != 2:
+    return _rescale(img[None], factor)[0]
+
+
+def _rescale(stack: np.ndarray, factor: float) -> np.ndarray:
+    """rescale over an (N, h, w) stack: one half-pixel resize grid either way."""
+    if stack.ndim != 3:
         raise ValueError("rescale expects a single-channel image")
-    h, w = img.shape
-    if factor < 1:
+    h, w = stack.shape[1:]
+    src = stack
+    if factor < 1:  # the central ch x cw, resized to h x w
         ch = int(math.floor(h * factor + 0.5))
         cw = int(math.floor(w * factor + 0.5))
         if ch < 1 or cw < 1:
             raise ValueError(f"scale factor {factor} degenerates a {h}x{w} image")
         y0, x0 = (h - ch) // 2, (w - cw) // 2
-        region = img[y0 : y0 + ch, x0 : x0 + cw]
-        out = preprocess.resize_bilinear(region, out_w=w, out_h=h)
-    else:
+        src = stack[:, y0 : y0 + ch, x0 : x0 + cw]
+        xs, ys = preprocess.resize_grid(cw, w), preprocess.resize_grid(ch, h)
+    else:  # the central h x w of the rh x rw resize
         rh = max(int(math.floor(h * factor + 0.5)), h)
         rw = max(int(math.floor(w * factor + 0.5)), w)
-        y0, x0 = (rh - h) // 2, (rw - w) // 2
-        # resize_bilinear's grid for rh x rw, restricted to the centre
-        xs = np.clip((np.arange(x0, x0 + w) + 0.5) * (w / rw) - 0.5, 0, w - 1)
-        ys = np.clip((np.arange(y0, y0 + h) + 0.5) * (h / rh) - 0.5, 0, h - 1)
-        # float32, as resize_bilinear returns, before the dtype is restored
-        out = preprocess.bilinear_sample(img, xs[None, :], ys[:, None]).astype(np.float32)
-    return _restore_dtype(out, img)
+        xs = preprocess.resize_grid(w, rw, (rw - w) // 2, w)
+        ys = preprocess.resize_grid(h, rh, (rh - h) // 2, h)
+    # float32, as resize_bilinear returns, before the dtype is restored
+    out = preprocess.bilinear_sample(src, xs[None, :], ys[:, None]).astype(np.float32)
+    return _restore_dtype(out, stack)
 
 
 def expand(patches: list[EyePatch], policy: AugmentPolicy) -> list[EyePatch]:
     """Originals plus one variant per listed parameter, labels preserved.
 
-    Output count is n * (1 + |rotations| + |sigmas| + |scales|). The grid is
-    applied in a fixed order, so the result is deterministic.
+    Output count is n * (1 + |rotations| + |sigmas| + |scales|), in input
+    order, each original followed by its rotations, blurs and scales. Patches
+    of one shape and dtype are transformed in stacks of
+    dataset.AUGMENT_CHUNK, each parameter once per stack; every step is
+    elementwise or a gather, so the result is byte-identical to transforming
+    one patch at a time.
     """
     for p in patches:
         if p.split == "test":
             raise ValueError("augmentation must not be applied to the test split")
-    out: list[EyePatch] = []
-    for p in patches:
-        out.append(p)
-        for deg in policy.rotation_degrees:
-            out.append(EyePatch(rotate(p.pixels, deg), p.label, p.split))
-        for sigma in policy.blur_sigmas:
-            out.append(EyePatch(gaussian_blur(p.pixels, sigma), p.label, p.split))
-        for f in policy.scale_factors:
-            out.append(EyePatch(rescale(p.pixels, f), p.label, p.split))
-    return out
+    kernels = [
+        *((_rotate, deg) for deg in policy.rotation_degrees),
+        *((_blur, sigma) for sigma in policy.blur_sigmas),
+        *((_rescale, f) for f in policy.scale_factors),
+    ]
+    rows: list = [None] * len(patches)
+    for idx, stack in patch_stacks(patches):
+        variants = [kernel(stack, param) for kernel, param in kernels]
+        for k, i in enumerate(idx):
+            p = patches[i]
+            rows[i] = [p, *(EyePatch(v[k], p.label, p.split) for v in variants)]
+    return [entry for row in rows for entry in row]

@@ -10,6 +10,7 @@ is run configuration, in `config` (RunConfig.map3).
 
 from __future__ import annotations
 
+import collections
 import csv
 import enum
 import math
@@ -208,7 +209,8 @@ def split_subject_disjoint(samples: list[Sample], seed: int) -> SplitPair:
     """Stricter split: whole subjects go to one side. Sizes are best-effort 50/50."""
     if any(s.subject_id is None for s in samples):
         raise ValueError("subject-disjoint split needs subject_id on every sample")
-    subjects = sorted({s.subject_id for s in samples})
+    sizes = collections.Counter(s.subject_id for s in samples)
+    subjects = sorted(sizes)
     if len(subjects) < 2:
         raise ValueError("need at least 2 subjects for a subject-disjoint split")
     order = np.random.default_rng(seed).permutation(len(subjects))
@@ -219,7 +221,7 @@ def split_subject_disjoint(samples: list[Sample], seed: int) -> SplitPair:
         if count >= target:
             break
         train_subjects.add(subjects[i])
-        count += sum(1 for s in samples if s.subject_id == subjects[i])
+        count += sizes[subjects[i]]
     train = [s for s in samples if s.subject_id in train_subjects]
     test = [s for s in samples if s.subject_id not in train_subjects]
     return SplitPair(train=train, test=test)
@@ -341,6 +343,29 @@ def make_eye_patches(
     return pairs[SIDES.index(side)]
 
 
-def patches_to_tensors(patches: list[EyePatch]) -> list[tuple[np.ndarray, int]]:
-    return [(preprocess.normalize(p.pixels), p.label) for p in patches]
+# patches per stack in the training set-up, augmentation and normalization
+# alike: 32 measured fastest for both patch sizes, and keeps temporaries small
+AUGMENT_CHUNK = 32
 
+
+def patch_stacks(patches: list[EyePatch]):
+    """(indices, stacked pixels) for runs of up to AUGMENT_CHUNK patches of
+    one shape and dtype, in order of first appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for i, p in enumerate(patches):
+        groups.setdefault((p.pixels.shape, p.pixels.dtype), []).append(i)
+    for idx in groups.values():
+        for start in range(0, len(idx), AUGMENT_CHUNK):
+            chunk = idx[start : start + AUGMENT_CHUNK]
+            yield chunk, np.stack([patches[i].pixels for i in chunk])
+
+
+def patches_to_tensors(patches: list[EyePatch]) -> list[tuple[np.ndarray, int]]:
+    """(tensor, label) per patch, each tensor a (1, H, W) view of its
+    normalized stack, byte-identical to preprocess.normalize of that patch."""
+    tensors: list = [None] * len(patches)
+    for idx, stack in patch_stacks(patches):
+        normalized = preprocess.normalize_stack(stack)[:, None]
+        for k, i in enumerate(idx):
+            tensors[i] = (normalized[k], patches[i].label)
+    return tensors

@@ -176,11 +176,12 @@ def to_grayscale(img: np.ndarray) -> np.ndarray:
 
 
 def bilinear_sample(src: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Bilinear taps of a 2-D image at coordinates the caller has clamped to
-    [0, w-1] x [0, h-1]; xs and ys broadcast to the output shape. Returns
-    float64.
+    """Bilinear taps of a 2-D image, or of a stack (..., h, w) of them, at
+    coordinates the caller has clamped to [0, w-1] x [0, h-1]; xs and ys
+    broadcast to the output shape (out_h, out_w). Returns float64
+    (..., out_h, out_w).
     """
-    h, w = src.shape
+    h, w = src.shape[-2:]
     src = src.astype(np.float64, copy=False)
     x0 = np.floor(xs).astype(int)
     y0 = np.floor(ys).astype(int)
@@ -188,12 +189,20 @@ def bilinear_sample(src: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
     y1 = np.minimum(y0 + 1, h - 1)
     fx = xs - x0
     fy = ys - y0
-    v00 = src[y0, x0]
-    v10 = src[y1, x0]
+    v00 = src[..., y0, x0]
+    v10 = src[..., y1, x0]
     # lerp form keeps constant inputs exactly constant
-    top = v00 + (src[y0, x1] - v00) * fx
-    bottom = v10 + (src[y1, x1] - v10) * fx
+    top = v00 + (src[..., y0, x1] - v00) * fx
+    bottom = v10 + (src[..., y1, x1] - v10) * fx
     return top + (bottom - top) * fy
+
+
+def resize_grid(size: int, out_size: int, start: int = 0, count: int | None = None) -> np.ndarray:
+    """Source coordinates, clamped to [0, size-1], of output pixels start ..
+    start+count-1 (default: all out_size) of a half-pixel-centre resize of
+    size pixels to out_size: (i+0.5)*size/out_size - 0.5."""
+    count = out_size if count is None else count
+    return np.clip((np.arange(start, start + count) + 0.5) * (size / out_size) - 0.5, 0, size - 1)
 
 
 def resize_bilinear(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
@@ -207,8 +216,7 @@ def resize_bilinear(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     if img.ndim != 2:
         raise ValueError(f"resize_bilinear expects a single-channel image, got shape {img.shape}")
     h, w = img.shape
-    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
-    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
+    xs, ys = resize_grid(w, out_w), resize_grid(h, out_h)
     return bilinear_sample(img, xs[None, :], ys[:, None]).astype(np.float32)
 
 
@@ -262,7 +270,11 @@ def crop(img: np.ndarray, box: Box) -> np.ndarray:
 
 def normalize(img: np.ndarray) -> np.ndarray:
     """8-bit-scale patch -> float32 tensor (1, H, W) with values in [-0.5, 0.5]."""
-    if img.ndim != 2:
+    return normalize_stack(img[None])
+
+
+def normalize_stack(stack: np.ndarray) -> np.ndarray:
+    """normalize over an (N, H, W) stack of patches: float32 (N, H, W)."""
+    if stack.ndim != 3:
         raise ValueError("normalize expects a single-channel image")
-    t = img.astype(np.float32) / np.float32(255) - np.float32(0.5)
-    return t[None, :, :]
+    return stack.astype(np.float32) / np.float32(255) - np.float32(0.5)

@@ -1,6 +1,7 @@
 """Rotation, blur, rescale, and training-set expansion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -260,3 +261,192 @@ class TestExpand:
         a = augment.expand(patches, AugmentPolicy())
         b = augment.expand(patches, AugmentPolicy())
         assert all(np.array_equal(x.pixels, y.pixels) for x, y in zip(a, b))
+
+
+# --------------------------------------------------------------------------
+# the per-patch transforms and expand body that preceded the stacked kernels,
+# kept as the byte-for-byte oracle of expand
+# --------------------------------------------------------------------------
+
+def per_patch_rotate(img, degrees):
+    h, w = img.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    rad = math.radians(degrees)
+    cos_t, sin_t = math.cos(rad), math.sin(rad)
+    u = np.arange(w) - cx
+    v = (np.arange(h) - cy)[:, None]
+    xs = np.clip(cx + u * cos_t - v * sin_t, 0, w - 1)
+    ys = np.clip(cy + u * sin_t + v * cos_t, 0, h - 1)
+    return augment._restore_dtype(per_patch_sample(img, xs, ys), img)
+
+
+def per_patch_sample(src, xs, ys):
+    h, w = src.shape
+    src = src.astype(np.float64, copy=False)
+    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(int)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx, fy = xs - x0, ys - y0
+    top = src[y0, x0] + (src[y0, x1] - src[y0, x0]) * fx
+    bottom = src[y1, x0] + (src[y1, x1] - src[y1, x0]) * fx
+    return top + (bottom - top) * fy
+
+
+def per_patch_blur(img, sigma):
+    if sigma < 1e-6:
+        return img.copy()
+    radius = math.ceil(3 * sigma)
+    taps = np.exp(-np.arange(-radius, radius + 1) ** 2 / (2 * sigma * sigma))
+    taps /= taps.sum()
+    out = img.astype(np.float64, copy=False)
+    for axis in (1, 0):
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (radius, radius)
+        padded = np.pad(out, pad, mode="edge")
+        acc = np.zeros_like(out)
+        for k, tap in enumerate(taps):
+            if axis == 1:
+                acc += tap * padded[:, k : k + img.shape[1]]
+            else:
+                acc += tap * padded[k : k + img.shape[0], :]
+        out = acc
+    return augment._restore_dtype(out, img)
+
+
+def per_patch_resize(img, out_w, out_h):
+    h, w = img.shape
+    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
+    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
+    return per_patch_sample(img, xs[None, :], ys[:, None]).astype(np.float32)
+
+
+def per_patch_rescale(img, factor):
+    h, w = img.shape
+    if factor < 1:
+        ch = int(math.floor(h * factor + 0.5))
+        cw = int(math.floor(w * factor + 0.5))
+        if ch < 1 or cw < 1:
+            raise ValueError(f"scale factor {factor} degenerates a {h}x{w} image")
+        y0, x0 = (h - ch) // 2, (w - cw) // 2
+        out = per_patch_resize(img[y0 : y0 + ch, x0 : x0 + cw], w, h)
+    else:
+        rh = max(int(math.floor(h * factor + 0.5)), h)
+        rw = max(int(math.floor(w * factor + 0.5)), w)
+        y0, x0 = (rh - h) // 2, (rw - w) // 2
+        xs = np.clip((np.arange(x0, x0 + w) + 0.5) * (w / rw) - 0.5, 0, w - 1)
+        ys = np.clip((np.arange(y0, y0 + h) + 0.5) * (h / rh) - 0.5, 0, h - 1)
+        out = per_patch_sample(img, xs[None, :], ys[:, None]).astype(np.float32)
+    return augment._restore_dtype(out, img)
+
+
+def per_patch_expand(patches, policy):
+    out = []
+    for p in patches:
+        out.append(p)
+        for deg in policy.rotation_degrees:
+            out.append(EyePatch(per_patch_rotate(p.pixels, deg), p.label, p.split))
+        for sigma in policy.blur_sigmas:
+            out.append(EyePatch(per_patch_blur(p.pixels, sigma), p.label, p.split))
+        for f in policy.scale_factors:
+            out.append(EyePatch(per_patch_rescale(p.pixels, f), p.label, p.split))
+    return out
+
+
+def assert_same_entries(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.label, g.split) == (w.label, w.split)
+        assert g.pixels.dtype == w.pixels.dtype and g.pixels.shape == w.pixels.shape
+        assert g.pixels.tobytes() == w.pixels.tobytes()
+
+
+def mixed_patches(n, kinds, seed):
+    """n patches, each of a (h, w, dtype) kind drawn from kinds."""
+    rng = np.random.default_rng(seed)
+    patches = []
+    for i in range(n):
+        h, w, dtype = kinds[rng.integers(len(kinds))]
+        if dtype == "uint8":
+            pixels = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+        else:
+            pixels = (rng.normal(size=(h, w)) * 100).astype(dtype)
+        patches.append(EyePatch(pixels, int(rng.integers(0, 7))))
+    return patches
+
+
+patch_kinds = st.lists(
+    st.tuples(st.integers(1, 16), st.integers(1, 16),
+              st.sampled_from(["uint8", "float32", "float64"])),
+    min_size=1, max_size=3,
+)
+
+
+class TestStackedExpand:
+    """expand transforms stacks of AUGMENT_CHUNK same-kind patches; the
+    result is byte-equal to transforming one patch at a time."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([1, 31, 32, 33, 65]),
+        kinds=patch_kinds,
+        rotations=st.lists(st.floats(-1e4, 1e4), max_size=2),
+        sigmas=st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5, 7.0]), max_size=2),
+        factors=st.lists(st.one_of(st.just(1.0), st.floats(0.5, 4.0)), max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=33, kinds=[(15, 25, "uint8"), (4, 7, "float32"), (9, 2, "float64")],
+             rotations=[5.0, -170.0], sigmas=[0.0, 2.5], factors=[0.5, 1.0], seed=0)
+    @example(n=65, kinds=[(15, 25, "uint8")], rotations=[33.0, 1e6], sigmas=[0.3],
+             factors=[1.0, 3.0], seed=1)
+    def test_equals_the_per_patch_body(self, n, kinds, rotations, sigmas, factors, seed):
+        patches = mixed_patches(n, kinds, seed)
+        policy = AugmentPolicy(tuple(rotations), tuple(sigmas), tuple(factors))
+        assert_same_entries(augment.expand(patches, policy), per_patch_expand(patches, policy))
+
+    def test_default_policy_on_eye_patch_sizes(self):
+        patches = mixed_patches(70, [(15, 25, "float32"), (42, 50, "float32")], seed=4)
+        policy = AugmentPolicy()
+        assert_same_entries(augment.expand(patches, policy), per_patch_expand(patches, policy))
+
+    def test_huge_sigma_blur_memory_stays_within_the_per_patch_peak(self):
+        """sigma 1000 pads a 15x25 patch per pass by 3000 pixels a side in the
+        per-patch body; the stacked blur reads the edge for taps past the
+        patch, so its peak over 64 patches stays within twice the per-patch
+        body's peak on the first patch alone (a lower bound of its peak on
+        all 64)."""
+        patches = mixed_patches(64, [(15, 25, "float32")], seed=5)
+        policy = AugmentPolicy((), (1000.0,), ())
+        outs, peaks = [], []
+        for fn, arg in ((per_patch_expand, patches[:1]), (augment.expand, patches)):
+            tracemalloc.start()
+            try:
+                outs.append(fn(arg, policy))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        oracle, stacked = peaks
+        assert stacked <= 2 * oracle, (stacked, oracle)
+        assert_same_entries(outs[1][:2], outs[0])
+
+
+class TestSingleChannelContract:
+    """The 2-D transforms are stacks of one; a colour (H, W, 3) image must
+    still be rejected, not read as H single-row images."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda img: augment.rotate(img, 5.0), "rotate expects a single-channel image"),
+        (lambda img: augment.gaussian_blur(img, 1.0), "gaussian_blur expects a single-channel image"),
+        (lambda img: augment.rescale(img, 1.1), "rescale expects a single-channel image"),
+        (lambda img: augment.rescale(img, 0.9), "rescale expects a single-channel image"),
+        (preprocess.normalize, "normalize expects a single-channel image"),
+    ])
+    def test_colour_image_rejected(self, call, message):
+        img = np.zeros((6, 8, 3), dtype=np.uint8)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(img)
+
+    def test_expand_rejects_a_colour_patch(self):
+        patches = [EyePatch(np.zeros((6, 8, 3), dtype=np.uint8), 0)]
+        with pytest.raises(ValueError, match="^rotate expects a single-channel image$"):
+            augment.expand(patches, AugmentPolicy())

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gazedir
-from gazedir import augment, dataset, fusion, nn, preprocess, synth  # noqa: F401  (loads the submodules)
+from gazedir import augment, cli, dataset, fusion, nn, preprocess, synth  # noqa: F401  (loads the submodules)
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 TRACER_PATH = os.path.join(ROOT, "perfbench", "tracer.py")
@@ -98,6 +98,53 @@ def test_per_side_calls_match_the_pair_path(corpus, monkeypatch, mode, side):
         gray = preprocess.to_grayscale(preprocess.read_pnm(os.path.join(root, sample.image_path)))
         one = dataset.extract_patch(gray, sample, side, mode, hw)
         assert one.tobytes() == dataset.eye_pair(gray, sample, mode, hw)[k].tobytes()
+
+
+def test_augmentation_runs_stacked_kernels(monkeypatch):
+    """expand calls each stacked kernel once per stack of AUGMENT_CHUNK
+    patches and policy parameter, so a return to one call per patch fails
+    here, not only as a slower benchmark set-up."""
+    rng = np.random.default_rng(0)
+    patches = [dataset.EyePatch(rng.uniform(0, 255, (15, 25)).astype(np.float32), i % 7)
+               for i in range(65)]
+    policy = augment.AugmentPolicy()
+    stacks = collections.defaultdict(list)  # stack sizes per kernel and parameter
+    for name in ("_rotate", "_blur", "_rescale"):
+        def spy(stack, param, fn=getattr(augment, name), name=name):
+            stacks[name, param].append(len(stack))
+            return fn(stack, param)
+        monkeypatch.setattr(augment, name, spy)
+    assert len(augment.expand(patches, policy)) == 65 * 9
+    keys = [*(("_rotate", d) for d in policy.rotation_degrees),
+            *(("_blur", s) for s in policy.blur_sigmas),
+            *(("_rescale", f) for f in policy.scale_factors)]
+    # ceil(65 / AUGMENT_CHUNK) = 3 calls per parameter
+    assert dict(stacks) == {key: [32, 32, 1] for key in keys}
+
+
+def test_train_ert_setup_chain_yields_the_cli_training_tensors(corpus, tmp_path, monkeypatch):
+    """The benchmark's train_ert set-up (make_eye_patches -> expand ->
+    patches_to_tensors per side) builds, byte for byte, the tensors and
+    labels `gazedir train` passes to nn.train_epoch."""
+    root, samples = corpus
+    seed = 4
+    seen = []  # (tensor bytes, labels) per side
+
+    def capture(model, xs, ys, *args, **kwargs):
+        seen.append(([x.tobytes() for x in xs], list(ys)))
+        return 1.0
+    monkeypatch.setattr(nn, "train_epoch", capture)
+    assert cli.main([
+        "train", "--manifest", os.path.join(root, "manifest.csv"), "--mode", "ert",
+        "--model-dir", str(tmp_path), "--epochs", "1", "--seed", str(seed),
+    ]) == 0
+    assert len(seen) == 2
+    train = dataset.split_50_50(samples, seed).train
+    for k, side in enumerate(dataset.SIDES):
+        patches = dataset.make_eye_patches(train, side, "ert", image_root=root)
+        tensors = dataset.patches_to_tensors(augment.expand(patches, augment.AugmentPolicy()))
+        assert all(x.shape == (1, 15, 25) and x.dtype == np.float32 for x, _ in tensors)
+        assert seen[k] == ([x.tobytes() for x, _ in tensors], [y for _, y in tensors])
 
 
 with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _f:

@@ -997,11 +997,11 @@ class TestRuntimeFailures:
     ])
     def test_out_of_memory_exit_1(self, corpus, tmp_path, capsys, monkeypatch, message, shown):
         """An array sized beyond memory ends the run with one error line; the
-        failure is simulated inside augmentation."""
-        def out_of_memory(img, factor):
+        failure is simulated inside augmentation's stacked rescale kernel."""
+        def out_of_memory(stack, factor):
             raise MemoryError(message)
 
-        monkeypatch.setattr(augment, "rescale", out_of_memory)
+        monkeypatch.setattr(augment, "_rescale", out_of_memory)
         code = run([
             "train", "--manifest", str(corpus / "manifest.csv"),
             "--model-dir", str(tmp_path / "models"), "--epochs", "1",

@@ -245,6 +245,47 @@ class TestSubjectDisjointSplit:
         with pytest.raises(ValueError):
             dataset.split_subject_disjoint(samples, seed=0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        subjects=st.lists(st.integers(0, 12), min_size=2, max_size=80),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counted_sizes_match_the_scanning_split(self, subjects, seed):
+        """Counting each subject once gives the lists the per-subject scan gave."""
+        samples = [Sample(f"{i}.pgm", Box(0, 0, 1, 1), EacClass.VD, subject_id=f"s{k}")
+                   for i, k in enumerate(subjects)]
+        try:
+            want = scanning_subject_split(samples, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                dataset.split_subject_disjoint(samples, seed)
+            return
+        got = dataset.split_subject_disjoint(samples, seed)
+        assert [s.image_path for s in got.train] == [s.image_path for s in want.train]
+        assert [s.image_path for s in got.test] == [s.image_path for s in want.test]
+
+
+def scanning_subject_split(samples, seed):
+    """The subject-disjoint split that counted each chosen subject by scanning
+    every sample (quadratic in the subject count)."""
+    if any(s.subject_id is None for s in samples):
+        raise ValueError("subject-disjoint split needs subject_id on every sample")
+    subjects = sorted({s.subject_id for s in samples})
+    if len(subjects) < 2:
+        raise ValueError("need at least 2 subjects for a subject-disjoint split")
+    order = np.random.default_rng(seed).permutation(len(subjects))
+    target = len(samples) / 2
+    train_subjects: set = set()
+    count = 0
+    for i in order:
+        if count >= target:
+            break
+        train_subjects.add(subjects[i])
+        count += sum(1 for s in samples if s.subject_id == subjects[i])
+    train = [s for s in samples if s.subject_id in train_subjects]
+    test = [s for s in samples if s.subject_id not in train_subjects]
+    return dataset.SplitPair(train=train, test=test)
+
 
 class TestThreeClassMapping:
     """The 7 -> 3 mapping is RunConfig.map3, applied by cli._label."""
@@ -289,6 +330,36 @@ def corpus(tmp_path_factory):
 
 def eye_tensors(samples, side, mode, **kwargs):
     return dataset.patches_to_tensors(dataset.make_eye_patches(samples, side, mode, **kwargs))
+
+
+class TestPatchesToTensors:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kinds=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9),
+                                 st.sampled_from(["uint8", "float32", "float64"])),
+                       min_size=1, max_size=3),
+        n=st.integers(0, 70), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacks_equal_one_patch_at_a_time(self, kinds, n, seed):
+        """Mixed shapes and dtypes in one list: each tensor is byte-equal to a
+        per-patch normalize, in input order, with its label."""
+        rng = np.random.default_rng(seed)
+        patches = []
+        for i in range(n):
+            h, w, dtype = kinds[rng.integers(len(kinds))]
+            pixels = rng.uniform(0, 256, size=(h, w)).astype(dtype)
+            patches.append(dataset.EyePatch(pixels, i % 7))
+        got = dataset.patches_to_tensors(patches)
+        assert [y for _, y in got] == [p.label for p in patches]
+        for (t, _), p in zip(got, patches):
+            want = (p.pixels.astype(np.float32) / np.float32(255) - np.float32(0.5))[None]
+            assert t.dtype == want.dtype and t.shape == want.shape
+            assert t.tobytes() == want.tobytes() == preprocess.normalize(p.pixels).tobytes()
+
+    def test_colour_patch_rejected(self):
+        patch = dataset.EyePatch(np.zeros((4, 5, 3), np.uint8), 0)
+        with pytest.raises(ValueError, match="normalize expects a single-channel image"):
+            dataset.patches_to_tensors([patch])
 
 
 class TestMakeEyeSamples:
