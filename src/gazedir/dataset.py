@@ -274,17 +274,20 @@ def eye_boxes(sample: Sample, mode: str, eye: str) -> tuple:
 
 
 def eye_pair(
-    img: np.ndarray, sample: Sample, mode: str, patch_hw: tuple[int, int], eye: str = "both"
+    img: np.ndarray, sample: Sample, mode: str, patch_hw: tuple[int, int], eye: str = "both",
+    top: int = 0, height: int | None = None,
 ) -> tuple:
     """(left, right) patches of one decoded (H, W) or (H, W, 3) image: each eye
     box is cropped, the crop greyed, and the grey crop resized to patch_hw. Luma
-    is per pixel, so this equals greying the whole frame first. An eye that
+    is per pixel, so this equals greying the whole frame first. img may be the
+    band of rows top.. of an image `height` rows tall that read_frame returns;
+    boxes are clamped to the whole image, as preprocess.crop does. An eye that
     `eye` does not select is None and is not cropped. Errors name the image."""
     h, w = patch_hw
     try:
         return tuple(
             None if box is None else preprocess.resize_bilinear(
-                preprocess.to_grayscale(preprocess.crop(img, box)), w, h)
+                preprocess.to_grayscale(preprocess.crop(img, box, top, height)), w, h)
             for box in eye_boxes(sample, mode, eye)
         )
     except ValueError as exc:
@@ -298,16 +301,21 @@ def extract_patch(
     return eye_pair(img, sample, mode, patch_hw, eye=side)[SIDES.index(side)]
 
 
-def read_frame(sample: Sample, mode: str, image_root: str = "", eye: str = "both") -> np.ndarray:
-    """The sample's image, read only over the rows its selected eye boxes span;
-    every row when the boxes are bad, which eye_pair reports after the decode,
-    so a bad image is still reported first."""
+def read_frame(
+    sample: Sample, mode: str, image_root: str = "", eye: str = "both"
+) -> tuple[np.ndarray, int, int]:
+    """(band, top, height) of the sample's image, as read_pnm returns over the
+    rows its selected eye boxes span: only those rows are read. When the boxes
+    are bad, the whole image with top 0, which eye_pair reports after the
+    decode, so a bad image is still reported first."""
+    path = os.path.join(image_root, sample.image_path)
     try:
         boxes = [box for box in eye_boxes(sample, mode, eye) if box is not None]
         rows = min(box.y for box in boxes), max(box.y + box.h for box in boxes)
     except ValueError:
-        rows = None
-    return preprocess.read_pnm(os.path.join(image_root, sample.image_path), rows)
+        img = preprocess.read_pnm(path)
+        return img, 0, len(img)
+    return preprocess.read_pnm(path, rows)
 
 
 def make_eye_pairs(
@@ -317,7 +325,7 @@ def make_eye_pairs(
     """Decodes each image once into (left, right) patch lists at the mode's
     patch size, tagged with their split, one entry per sample; an eye that
     `eye` does not select is None. Only the rows the selected eye boxes span
-    are read from the file.
+    are read from the file and held in memory.
 
     labels defaults to each sample's 7-class index; pass explicit labels for
     3-class runs.
@@ -325,9 +333,9 @@ def make_eye_pairs(
     hw = default_patch_hw(mode)
     out: tuple[list, list] = ([], [])
     for i, sample in enumerate(samples):
-        img = read_frame(sample, mode, image_root, eye)
+        band, top, height = read_frame(sample, mode, image_root, eye)
         label = int(sample.eac) if labels is None else int(labels[i])
-        for patches, pixels in zip(out, eye_pair(img, sample, mode, hw, eye)):
+        for patches, pixels in zip(out, eye_pair(band, sample, mode, hw, eye, top, height)):
             patches.append(None if pixels is None else EyePatch(pixels, label, split))
     return out
 

@@ -126,9 +126,9 @@ def _run_stages(model_left, model_right, sample, mode, patch_hw, image_root) -> 
     make_eye_pairs) / normalize / two forwards / fuse; returns the perf_counter
     stamps before, between and after the stages."""
     t0 = time.perf_counter()
-    img = dataset.read_frame(sample, mode, image_root)
+    band, top, height = dataset.read_frame(sample, mode, image_root)
     t1 = time.perf_counter()
-    patches = dataset.eye_pair(img, sample, mode, patch_hw)
+    patches = dataset.eye_pair(band, sample, mode, patch_hw, top=top, height=height)
     t2 = time.perf_counter()
     x_l, x_r = (preprocess.normalize(p) for p in patches)
     t3 = time.perf_counter()

@@ -75,17 +75,18 @@ def _next_token(f) -> bytes:
     return bytes(token)
 
 
-def read_pnm(path, rows=None) -> np.ndarray:
+def read_pnm(path, rows=None) -> np.ndarray | tuple[np.ndarray, int, int]:
     """Reads binary PGM (P5) or PPM (P6); returns uint8 (H,W) or (H,W,3).
 
     Samples of a file with maxval < 255 are rescaled to 0..255 as
     floor(v * 255 / maxval + 0.5). A malformed file raises ValueError naming it.
     The file is read through a _HEADER_READ-byte buffer, and the raster with
-    one readinto straight into the returned array. With rows=(y0, y1), only
-    rows y0..y1-1 (clamped to the image) are read and the other rows of the
-    full-shape result stay zero. A file with maxval < 255 is read whole, so
-    every sample is still checked against maxval, and so is a pipe, which
-    cannot seek.
+    one readinto straight into the returned array. With rows=(y0, y1) it
+    returns (band, top, height): band holds only rows top..top+len(band)-1 of
+    the image, which are y0..y1-1 clamped to it (possibly none), and height is
+    the image's row count. Only the band is read and allocated, except that a
+    file with maxval < 255 is read whole, so every sample is still checked
+    against maxval, and so is a pipe, which cannot seek.
     """
     with open(path, "rb", buffering=_HEADER_READ) as f:
         try:
@@ -94,27 +95,28 @@ def read_pnm(path, rows=None) -> np.ndarray:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _read_pnm(f, rows) -> np.ndarray:
+def _read_pnm(f, rows) -> np.ndarray | tuple[np.ndarray, int, int]:
     magic, width, height, maxval = _parse_header(f)
-    row_bytes = width * (1 if magic == b"P5" else 3)
+    pixel = (width,) if magic == b"P5" else (width, 3)
+    row_bytes = math.prod(pixel)
     seekable = f.seekable()  # a pipe has no size to check and is read through
     if seekable and os.fstat(f.fileno()).st_size - f.tell() < height * row_bytes:
         raise ValueError("raster truncated")
-    img = np.zeros((height, width) if magic == b"P5" else (height, width, 3), np.uint8)
-    if rows is None or maxval != 255 or not seekable:
-        rows = (0, height)
-    y0, y1 = (min(max(y, 0), height) for y in rows)
-    view = memoryview(img).cast("B")[y0 * row_bytes : y1 * row_bytes]
-    if y0:
-        f.seek(y0 * row_bytes, os.SEEK_CUR)
-    if f.readinto(view) < len(view):  # reads on to EOF, so the file shrank
+    top, bottom = (0, height) if rows is None else (min(max(y, 0), height) for y in rows)
+    bottom = max(bottom, top)
+    first, last = (top, bottom) if maxval == 255 and seekable else (0, height)
+    img = np.empty((last - first, *pixel), np.uint8)
+    if first:
+        f.seek(first * row_bytes, os.SEEK_CUR)
+    if f.readinto(img) < img.nbytes:  # reads on to EOF, so the file shrank
         raise ValueError("raster truncated")
+    if maxval != 255 and img.max() > maxval:
+        raise ValueError(f"sample above maxval {maxval}")
+    img = img[top - first : bottom - first]
     if maxval != 255:
-        if img.max() > maxval:
-            raise ValueError(f"sample above maxval {maxval}")
         # floor(v * 255 / maxval + 0.5) in exact integer arithmetic
         img = ((img.astype(np.uint32) * 510 + maxval) // (2 * maxval)).astype(np.uint8)
-    return img
+    return img if rows is None else (img, top, height)
 
 
 def _parse_header(f) -> tuple[bytes, int, int, int]:
@@ -255,17 +257,23 @@ def landmark_eye_crop(inner: tuple[float, float], outer: tuple[float, float]) ->
     )
 
 
-def crop(img: np.ndarray, box: Box) -> np.ndarray:
+def crop(img: np.ndarray, box: Box, top: int = 0, height: int | None = None) -> np.ndarray:
     """Sub-image under the box clamped to image bounds; an empty box or an empty
-    overlap is an error."""
+    overlap is an error. img may be a band of rows top.. of an image `height`
+    rows tall, as read_pnm reads over rows (default: img is the whole image);
+    the box is clamped to, and errors name, the whole image, and the band must
+    hold the rows the clamped box spans."""
     if box.w <= 0 or box.h <= 0:
         raise ValueError(f"empty crop box {box}")
-    h, w = img.shape[:2]
+    w = img.shape[1]
+    h = len(img) if height is None else height
     x0, y0 = max(box.x, 0), max(box.y, 0)
     x1, y1 = min(box.x + box.w, w), min(box.y + box.h, h)
     if x1 <= x0 or y1 <= y0:
         raise ValueError(f"crop box {box} lies outside the {w}x{h} image")
-    return img[y0:y1, x0:x1].copy()
+    if y0 < top or y1 > top + len(img):
+        raise ValueError(f"crop box {box} spans rows outside the band {top}:{top + len(img)}")
+    return img[y0 - top : y1 - top, x0:x1].copy()
 
 
 def normalize(img: np.ndarray) -> np.ndarray:

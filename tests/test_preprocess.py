@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -13,6 +14,15 @@ from hypothesis.extra import numpy as hnp
 
 from gazedir import augment, preprocess
 from gazedir.preprocess import Box
+
+
+def assert_band(read, whole, top, bottom):
+    """A row read returned (band, top, height) with band exactly whole[top:bottom]
+    in shape, dtype and bytes, and height the whole image's."""
+    band, got_top, height = read
+    assert (got_top, height) == (top, len(whole))
+    assert band.dtype == np.uint8 and band.shape == whole[top:bottom].shape
+    assert band.tobytes() == whole[top:bottom].tobytes()
 
 
 class TestPnmCodec:
@@ -52,11 +62,11 @@ class TestPnmCodec:
         path = tmp_path / "img.pgm"
         raster = bytes([10, 35, 13, 32, 9, 200])  # starts '\n', '#', '\r', ' ', '\t'
         path.write_bytes(b"P5\n3 2\n255#c\n" + raster)
-        img = preprocess.read_pnm(path, rows)
         expected = np.frombuffer(raster, np.uint8).reshape(2, 3)
-        npt.assert_array_equal(img[1], expected[1])
         if rows is None:
-            npt.assert_array_equal(img, expected)
+            npt.assert_array_equal(preprocess.read_pnm(path), expected)
+        else:
+            assert_band(preprocess.read_pnm(path, rows), expected, *rows)
 
     def test_16bit_maxval_rejected(self, tmp_path):
         path = tmp_path / "img.pgm"
@@ -148,6 +158,15 @@ FRAMES = {"P5": (np.arange(1200) % 251).astype(np.uint8).reshape(30, 40),
           "P6": (np.arange(3600) % 251).astype(np.uint8).reshape(30, 40, 3)}
 
 
+def _pipe_holding(blob: bytes) -> int:
+    """The read end of a pipe holding blob (which must fit the pipe buffer),
+    its write end closed."""
+    read_end, write_end = os.pipe()
+    os.write(write_end, blob)
+    os.close(write_end)
+    return read_end
+
+
 class TestPnmReadSteps:
     """The header comes from a first small read and the raster is read into
     the output array, so the header may span reads and the file may shrink."""
@@ -166,7 +185,7 @@ class TestPnmReadSteps:
         for pad in range(preprocess._HEADER_READ - 16, preprocess._HEADER_READ + 1):
             path.write_bytes(pnm_bytes(FRAMES[magic], head=b" " * pad))
             npt.assert_array_equal(preprocess.read_pnm(path), FRAMES[magic])
-            npt.assert_array_equal(preprocess.read_pnm(path, (1, 2))[1], FRAMES[magic][1])
+            assert_band(preprocess.read_pnm(path, (1, 2)), FRAMES[magic], 1, 2)
 
     @pytest.mark.parametrize("magic", FRAMES)
     def test_comment_inside_a_token_straddling_first_read(self, tmp_path, magic):
@@ -176,7 +195,7 @@ class TestPnmReadSteps:
         for pad in range(preprocess._HEADER_READ - 16, preprocess._HEADER_READ + 1):
             path.write_bytes(b" " * pad + body)
             npt.assert_array_equal(preprocess.read_pnm(path), FRAMES[magic])
-            npt.assert_array_equal(preprocess.read_pnm(path, (1, 2))[1], FRAMES[magic][1])
+            assert_band(preprocess.read_pnm(path, (1, 2)), FRAMES[magic], 1, 2)
 
     @pytest.mark.parametrize("rows", [None, (29, 30)])
     @pytest.mark.parametrize("magic", FRAMES)
@@ -206,10 +225,38 @@ class TestPnmReadSteps:
                 with pytest.raises(ValueError, match=r": raster truncated$"):
                     preprocess.read_pnm(f"/dev/fd/{read_end}", (3, 5))
             else:
-                img = preprocess.read_pnm(f"/dev/fd/{read_end}", (3, 5))
-                npt.assert_array_equal(img, FRAMES[magic])
+                band = preprocess.read_pnm(f"/dev/fd/{read_end}", (3, 5))
+                assert_band(band, FRAMES[magic], 3, 5)
         finally:
             os.close(read_end)
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    @pytest.mark.parametrize("magic", FRAMES)
+    def test_row_read_checks_samples_outside_its_rows(self, tmp_path, magic, source):
+        # maxval < 255 is read whole, so a bad sample in the last row fails a read of rows 0..1
+        img = FRAMES[magic] % 16
+        img[-1, -1] = 16
+        path = tmp_path / "img.pnm"
+        path.write_bytes(pnm_bytes(img, 15))
+        read_end = _pipe_holding(path.read_bytes())
+        try:
+            with pytest.raises(ValueError, match=r": sample above maxval 15$"):
+                preprocess.read_pnm(path if source == "file" else f"/dev/fd/{read_end}", (0, 2))
+        finally:
+            os.close(read_end)
+
+    @pytest.mark.parametrize("maxval", [255, 15])
+    @pytest.mark.parametrize("magic", FRAMES)
+    def test_row_read_from_a_pipe_consumes_it(self, tmp_path, magic, maxval):
+        path = tmp_path / "img.pnm"
+        path.write_bytes(pnm_bytes(FRAMES[magic] // (256 // (maxval + 1)), maxval))
+        read_end = _pipe_holding(path.read_bytes())
+        try:
+            band = preprocess.read_pnm(f"/dev/fd/{read_end}", (3, 5))
+            assert os.read(read_end, 1) == b""  # rows 5.. were read through too
+        finally:
+            os.close(read_end)
+        assert_band(band, preprocess.read_pnm(path), 3, 5)
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -223,16 +270,9 @@ class TestPnmReadSteps:
         path = tmp_path / "img.pnm"
         path.unlink(missing_ok=True)
         path.write_bytes(pnm_bytes(img, maxval))
-        full = preprocess.read_pnm(path)
-        part = preprocess.read_pnm(path, rows)
-        assert part.dtype == np.uint8 and part.shape == full.shape
-        if maxval != 255:  # read whole, so every sample is checked
-            npt.assert_array_equal(part, full)
-            return
-        inside = np.zeros(h, bool)
-        inside[max(rows[0], 0):max(rows[1], 0)] = True
-        npt.assert_array_equal(part[inside], full[inside])
-        assert not part[~inside].any()
+        top, bottom = (min(max(y, 0), h) for y in rows)
+        assert_band(preprocess.read_pnm(path, rows), preprocess.read_pnm(path),
+                    top, max(top, bottom))
 
 
 def _bytes_read() -> int:
@@ -255,6 +295,19 @@ def test_row_read_reads_only_its_rows(tmp_path):
 
     assert volume((200, 222)) < bound
     assert volume(None) > bound
+
+
+def test_row_read_allocates_only_its_band(tmp_path):
+    path = tmp_path / "vga.ppm"
+    preprocess.write_ppm(path, np.zeros((480, 640, 3), np.uint8))
+    band = 22 * 640 * 3  # 42,240 bytes; a whole frame is 921,600
+    tracemalloc.start()
+    try:
+        preprocess.read_pnm(path, (200, 222))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert band <= peak < 48 * 1024
 
 
 class TestToGrayscale:
@@ -476,6 +529,23 @@ class TestCrop:
         img = np.zeros((4, 4), dtype=np.uint8)
         with pytest.raises(ValueError):
             preprocess.crop(img, Box(10, 10, 2, 2))
+
+    @pytest.mark.parametrize("box", [Box(-2, -3, 4, 5), Box(1, 2, 2, 3), Box(3, 4, 9, 9)])
+    def test_band_crops_as_the_whole_image(self, box):
+        img = np.arange(24, dtype=np.uint8).reshape(6, 4)
+        top, bottom = max(box.y, 0), min(box.y + box.h, 6)
+        npt.assert_array_equal(preprocess.crop(img[top:bottom], box, top, 6),
+                               preprocess.crop(img, box))
+
+    @pytest.mark.parametrize("box, message", [
+        (Box(0, 7, 2, 2), r"lies outside the 4x6 image"),  # judged against the whole image
+        (Box(0, 1, 2, 2), r"spans rows outside the band 2:4"),
+        (Box(0, 3, 2, 2), r"spans rows outside the band 2:4"),
+    ])
+    def test_band_errors(self, box, message):
+        img = np.zeros((6, 4), dtype=np.uint8)
+        with pytest.raises(ValueError, match=rf"^crop box {re.escape(str(box))} {message}$"):
+            preprocess.crop(img[2:4], box, 2, 6)
 
     @pytest.mark.parametrize("box", [Box(1, 1, 0, 2), Box(1, 1, 2, 0), Box(1, 1, -1, 2)])
     def test_empty_box_rejected(self, box):
