@@ -1,8 +1,11 @@
 """Training-set expansion: rotations, Gaussian blur, and rescaling.
 
-All transforms preserve image dimensions and labels, and at their identity
-parameters return finite uint8 or float32 pixels unchanged (-0.0 may read
-+0.0). They run on extracted eye patches, never on the test split.
+Each transform maps an (N, h, w) stack of single-channel patches to a stack
+of the same shape and dtype, patch by patch: every step is elementwise or a
+gather, so a stack's result is byte-identical to transforming its patches one
+at a time. At their identity parameters they return finite uint8 or float32
+pixels unchanged (-0.0 may read +0.0). expand runs them on one eye's
+EyePatches, never on the test split.
 """
 
 from __future__ import annotations
@@ -13,7 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import preprocess
-from .dataset import EyePatch, patch_stacks
+from .dataset import EyePatches
+
+# patches per stack in expand: 32 measured fastest for both patch sizes, and
+# keeps the kernels' temporaries small
+AUGMENT_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -38,17 +45,11 @@ def _restore_dtype(out: np.ndarray, like: np.ndarray) -> np.ndarray:
     return out.astype(like.dtype)
 
 
-def rotate(img: np.ndarray, degrees: float) -> np.ndarray:
-    """Rotation about the image center, inverse-mapped with bilinear sampling.
-
-    Sampling coordinates are clamped to the image, so out-of-source pixels
-    replicate the nearest edge. Output dimensions match the input.
+def rotate(stack: np.ndarray, degrees: float) -> np.ndarray:
+    """Rotation of each patch about its center, inverse-mapped with bilinear
+    sampling. Sampling coordinates are clamped to the patch, so out-of-source
+    pixels replicate the nearest edge.
     """
-    return _rotate(img[None], degrees)[0]
-
-
-def _rotate(stack: np.ndarray, degrees: float) -> np.ndarray:
-    """rotate over an (N, h, w) stack."""
     if stack.ndim != 3:
         raise ValueError("rotate expects a single-channel image")
     h, w = stack.shape[1:]
@@ -62,17 +63,12 @@ def _rotate(stack: np.ndarray, degrees: float) -> np.ndarray:
     return _restore_dtype(preprocess.bilinear_sample(stack, xs, ys), stack)
 
 
-def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian with radius ceil(3*sigma) and edge replication."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    return _blur(img[None], sigma)[0]
-
-
-def _blur(stack: np.ndarray, sigma: float) -> np.ndarray:
-    """gaussian_blur over an (N, h, w) stack."""
+def gaussian_blur(stack: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian per patch, radius ceil(3*sigma), edge replication."""
     if stack.ndim != 3:
         raise ValueError("gaussian_blur expects a single-channel image")
+    if sigma < 0:
+        raise ValueError("sigma must be >= 0")
     if sigma < 1e-6:
         return stack.copy()
     radius = math.ceil(3 * sigma)
@@ -107,22 +103,18 @@ def _correlate_edge(x: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     return acc
 
 
-def rescale(img: np.ndarray, factor: float) -> np.ndarray:
-    """Scale jitter that keeps the native patch size.
+def rescale(stack: np.ndarray, factor: float) -> np.ndarray:
+    """Scale jitter that keeps the native patch size, on one half-pixel
+    resize grid either way.
 
-    factor < 1 crops the central factor-fraction and resizes it back up;
-    factor >= 1 samples the central h x w of the image resized up by factor,
-    so memory stays h x w for any factor.
+    factor < 1 crops each patch's central factor-fraction and resizes it back
+    up; factor >= 1 samples the central h x w of the patch resized up by
+    factor, so memory stays h x w per patch for any factor.
     """
-    if factor <= 0:
-        raise ValueError("scale factor must be > 0")
-    return _rescale(img[None], factor)[0]
-
-
-def _rescale(stack: np.ndarray, factor: float) -> np.ndarray:
-    """rescale over an (N, h, w) stack: one half-pixel resize grid either way."""
     if stack.ndim != 3:
         raise ValueError("rescale expects a single-channel image")
+    if factor <= 0:
+        raise ValueError("scale factor must be > 0")
     h, w = stack.shape[1:]
     src = stack
     if factor < 1:  # the central ch x cw, resized to h x w
@@ -143,28 +135,26 @@ def _rescale(stack: np.ndarray, factor: float) -> np.ndarray:
     return _restore_dtype(out, stack)
 
 
-def expand(patches: list[EyePatch], policy: AugmentPolicy) -> list[EyePatch]:
+def expand(patches: EyePatches, policy: AugmentPolicy) -> EyePatches:
     """Originals plus one variant per listed parameter, labels preserved.
 
     Output count is n * (1 + |rotations| + |sigmas| + |scales|), in input
-    order, each original followed by its rotations, blurs and scales. Patches
-    of one shape and dtype are transformed in stacks of
-    dataset.AUGMENT_CHUNK, each parameter once per stack; every step is
-    elementwise or a gather, so the result is byte-identical to transforming
-    one patch at a time.
+    order, each original followed by its rotations, blurs and scales. The
+    pixels are transformed in stacks of AUGMENT_CHUNK, each parameter once
+    per stack.
     """
-    for p in patches:
-        if p.split == "test":
-            raise ValueError("augmentation must not be applied to the test split")
+    if patches.split == "test":
+        raise ValueError("augmentation must not be applied to the test split")
     kernels = [
-        *((_rotate, deg) for deg in policy.rotation_degrees),
-        *((_blur, sigma) for sigma in policy.blur_sigmas),
-        *((_rescale, f) for f in policy.scale_factors),
+        *((rotate, deg) for deg in policy.rotation_degrees),
+        *((gaussian_blur, sigma) for sigma in policy.blur_sigmas),
+        *((rescale, f) for f in policy.scale_factors),
     ]
-    rows: list = [None] * len(patches)
-    for idx, stack in patch_stacks(patches):
-        variants = [kernel(stack, param) for kernel, param in kernels]
-        for k, i in enumerate(idx):
-            p = patches[i]
-            rows[i] = [p, *(EyePatch(v[k], p.label, p.split) for v in variants)]
-    return [entry for row in rows for entry in row]
+    pixels = patches.pixels
+    out = np.empty((len(pixels), 1 + len(kernels), *pixels.shape[1:]), pixels.dtype)
+    for start in range(0, len(pixels), AUGMENT_CHUNK):
+        stack = pixels[start : start + AUGMENT_CHUNK]
+        np.stack([stack, *(kernel(stack, param) for kernel, param in kernels)], axis=1,
+                 out=out[start : start + len(stack)])
+    return EyePatches(out.reshape(-1, *pixels.shape[1:]),
+                      np.repeat(patches.labels, 1 + len(kernels)), patches.split)

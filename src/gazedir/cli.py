@@ -55,7 +55,7 @@ def _test_split(cfg: RunConfig) -> list[dataset.Sample]:
 
 
 def _eye_pairs(cfg: RunConfig, samples: list[dataset.Sample], split: str, eye: str = "both"):
-    """(left, right) patch lists of the samples; each image is decoded once."""
+    """(left, right) EyePatches of the samples; each image is decoded once."""
     labels = [_label(cfg, s) for s in samples]
     return dataset.make_eye_pairs(
         samples, cfg.mode, cfg.resolved_image_root(), split, labels, eye
@@ -63,9 +63,12 @@ def _eye_pairs(cfg: RunConfig, samples: list[dataset.Sample], split: str, eye: s
 
 
 def _triples(pairs) -> list[tuple]:
-    """(left, right, label) per sample, normalized; an eye left uncropped is None."""
-    return [(*(p and preprocess.normalize(p.pixels) for p in pair), (pair[0] or pair[1]).label)
-            for pair in zip(*pairs)]
+    """(left, right, label) per sample, each eye a (1, H, W) view of its
+    normalized stack; an eye left uncropped is None."""
+    labels = next(p.labels for p in pairs if p is not None).tolist()
+    eyes = [[None] * len(labels) if p is None else preprocess.normalize_stack(p.pixels)[:, None]
+            for p in pairs]
+    return list(zip(*eyes, labels))
 
 
 def _report_meta(cfg: RunConfig, **extra) -> dict:
@@ -100,14 +103,13 @@ def cmd_train(args) -> int:
     models, losses = [], []  # per side; losses per epoch
     pairs = _eye_pairs(cfg, train, "train")
     for seed_offset, (side, patches) in enumerate(zip(dataset.SIDES, pairs)):
-        tensors = dataset.patches_to_tensors(augment.expand(patches, cfg.policy))
-        xs = [t for t, _ in tensors]
-        ys = [y for _, y in tensors]
+        patches = augment.expand(patches, cfg.policy)
+        xs = preprocess.normalize_stack(patches.pixels)[:, None]
         model = nn.build_gaze_net(h, w, cfg.classes, seed=cfg.seed + seed_offset)
         side_losses = []
         for epoch in range(cfg.epochs):
             loss = nn.train_epoch(
-                model, xs, ys, cfg.lr, cfg.batch_size,
+                model, xs, patches.labels, cfg.lr, cfg.batch_size,
                 rng_seed=cfg.seed * 1_000_003 + epoch,
             )
             side_losses.append(loss)

@@ -2,7 +2,8 @@
 
 A manifest is a CSV binding each image to its face box, optional eye-corner
 landmarks, gaze class, and optional subject id. Rows become Samples; Samples
-become per-eye patches via the preprocess chain: each decoded image is cropped
+become one EyePatches per eye, an (N, h, w) array at the mode's patch size
+with a label vector, via the preprocess chain: each decoded image is cropped
 to its eye boxes, each crop is greyed, and each grey crop is resized to the
 patch size, so a colour frame is never greyed whole. The 7 -> 3 class mapping
 is run configuration, in `config` (RunConfig.map3).
@@ -69,12 +70,16 @@ class SplitPair:
 
 
 @dataclass
-class EyePatch:
-    """One extracted eye patch: float32 pixels on the 0..255 scale."""
+class EyePatches:
+    """One eye's patches of a run: pixels an (N, h, w) stack on the 0..255
+    scale (float32 from make_eye_pairs), labels the (N,) int class vector."""
 
     pixels: np.ndarray
-    label: int
+    labels: np.ndarray
     split: str = "train"
+
+    def __len__(self) -> int:
+        return len(self.pixels)
 
 
 def load_manifest(path) -> list[Sample]:
@@ -321,29 +326,31 @@ def read_frame(
 def make_eye_pairs(
     samples: list[Sample], mode: str, image_root: str = "", split: str = "train",
     labels=None, eye: str = "both",
-) -> tuple[list, list]:
-    """Decodes each image once into (left, right) patch lists at the mode's
-    patch size, tagged with their split, one entry per sample; an eye that
-    `eye` does not select is None. Only the rows the selected eye boxes span
-    are read from the file and held in memory.
+) -> tuple:
+    """(left, right) EyePatches of the samples at the mode's patch size,
+    tagged with their split, one row per sample; each image is decoded once.
+    An eye that `eye` does not select is None. Only the rows the selected eye
+    boxes span are read from the file and held in memory.
 
     labels defaults to each sample's 7-class index; pass explicit labels for
     3-class runs.
     """
     hw = default_patch_hw(mode)
-    out: tuple[list, list] = ([], [])
+    ys = np.array([int(s.eac) if labels is None else int(labels[i])
+                   for i, s in enumerate(samples)], dtype=int)
+    out = [np.empty((len(samples), *hw), np.float32) if w else None for w in eye_selection(eye)]
     for i, sample in enumerate(samples):
         band, top, height = read_frame(sample, mode, image_root, eye)
-        label = int(sample.eac) if labels is None else int(labels[i])
-        for patches, pixels in zip(out, eye_pair(band, sample, mode, hw, eye, top, height)):
-            patches.append(None if pixels is None else EyePatch(pixels, label, split))
-    return out
+        for pixels, patch in zip(out, eye_pair(band, sample, mode, hw, eye, top, height)):
+            if pixels is not None:
+                pixels[i] = patch
+    return tuple(None if pixels is None else EyePatches(pixels, ys, split) for pixels in out)
 
 
 def make_eye_patches(
     samples: list[Sample], side: str, mode: str,
     image_root: str = "", split: str = "train", labels=None,
-) -> list[EyePatch]:
+) -> EyePatches:
     """One eye's patches: `make_eye_pairs` cropping only that eye."""
     if side not in SIDES:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -351,29 +358,7 @@ def make_eye_patches(
     return pairs[SIDES.index(side)]
 
 
-# patches per stack in the training set-up, augmentation and normalization
-# alike: 32 measured fastest for both patch sizes, and keeps temporaries small
-AUGMENT_CHUNK = 32
-
-
-def patch_stacks(patches: list[EyePatch]):
-    """(indices, stacked pixels) for runs of up to AUGMENT_CHUNK patches of
-    one shape and dtype, in order of first appearance."""
-    groups: dict[tuple, list[int]] = {}
-    for i, p in enumerate(patches):
-        groups.setdefault((p.pixels.shape, p.pixels.dtype), []).append(i)
-    for idx in groups.values():
-        for start in range(0, len(idx), AUGMENT_CHUNK):
-            chunk = idx[start : start + AUGMENT_CHUNK]
-            yield chunk, np.stack([patches[i].pixels for i in chunk])
-
-
-def patches_to_tensors(patches: list[EyePatch]) -> list[tuple[np.ndarray, int]]:
-    """(tensor, label) per patch, each tensor a (1, H, W) view of its
+def patches_to_tensors(patches: EyePatches) -> list[tuple[np.ndarray, int]]:
+    """(tensor, label) per patch, each tensor a (1, H, W) view of the
     normalized stack, byte-identical to preprocess.normalize of that patch."""
-    tensors: list = [None] * len(patches)
-    for idx, stack in patch_stacks(patches):
-        normalized = preprocess.normalize_stack(stack)[:, None]
-        for k, i in enumerate(idx):
-            tensors[i] = (normalized[k], patches[i].label)
-    return tensors
+    return list(zip(preprocess.normalize_stack(patches.pixels)[:, None], patches.labels.tolist()))

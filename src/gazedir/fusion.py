@@ -76,11 +76,12 @@ EVAL_CHUNK = 4
 
 
 def score_pair(model_left, model_right, x_left, x_right) -> np.ndarray:
-    """Scores B eye pairs as (B, n_classes); each eye is a sequence of B
-    (1, H, W) tensors, such as a (B, 1, H, W) array, stacked here. The fused
-    mean of both networks' softmax, or one network's softmax when the other
-    model is None (its input is not read). Each row is byte-identical to
-    scoring that pair alone."""
+    """Scores B eye pairs as (B, n_classes); each eye is B (1, H, W) views of
+    its normalized (N, 1, H, W) stack, as evaluate's triples hold them, or a
+    (B, 1, H, W) array, stacked here. The fused mean of both networks'
+    softmax, or one network's softmax when the other model is None (its
+    input is not read). Each row is byte-identical to scoring that pair
+    alone."""
     scores = [model.forward_batch(np.stack(x)) for model, x
               in ((model_left, x_left), (model_right, x_right)) if model is not None]
     return fuse_scores(*scores) if len(scores) == 2 else scores[0]
@@ -130,7 +131,7 @@ def _run_stages(model_left, model_right, sample, mode, patch_hw, image_root) -> 
     t1 = time.perf_counter()
     patches = dataset.eye_pair(band, sample, mode, patch_hw, top=top, height=height)
     t2 = time.perf_counter()
-    x_l, x_r = (preprocess.normalize(p) for p in patches)
+    x_l, x_r = preprocess.normalize_stack(np.stack(patches))[:, None]
     t3 = time.perf_counter()
     score_l = model_left.forward(x_l)
     t4 = time.perf_counter()

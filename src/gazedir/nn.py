@@ -466,7 +466,7 @@ def build_gaze_net(input_h: int, input_w: int, n_classes: int, seed: int = 0) ->
 
 def train_epoch(
     model: Model,
-    samples: list[np.ndarray],
+    samples: list[np.ndarray] | np.ndarray,
     labels,
     lr: float,
     batch_size: int,
@@ -474,7 +474,8 @@ def train_epoch(
 ) -> float:
     """One epoch of minibatch SGD: seeded shuffle, mean-of-batch gradients.
 
-    lr=0 runs the epoch without updates (pure evaluation of the mean loss).
+    samples: (C, H, W) tensors, a list or an (N, C, H, W) array. lr=0 runs
+    the epoch without updates (pure evaluation of the mean loss).
     """
     n = len(samples)
     if n == 0:

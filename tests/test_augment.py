@@ -12,7 +12,20 @@ from hypothesis.extra import numpy as hnp
 
 from gazedir import augment, preprocess
 from gazedir.augment import AugmentPolicy
-from gazedir.dataset import EyePatch
+from gazedir.dataset import EyePatches
+
+
+# the transforms take an (N, h, w) stack; these apply them to one 2-D patch
+def rotate(img, degrees):
+    return augment.rotate(img[None], degrees)[0]
+
+
+def gaussian_blur(img, sigma):
+    return augment.gaussian_blur(img[None], sigma)[0]
+
+
+def rescale(img, factor):
+    return augment.rescale(img[None], factor)[0]
 
 
 def scalar_bilinear_resize(img, out_w, out_h):
@@ -35,24 +48,24 @@ def scalar_bilinear_resize(img, out_w, out_h):
 class TestRotate:
     def test_zero_degrees_is_identity(self):
         img = np.random.default_rng(0).integers(0, 256, size=(9, 11)).astype(np.uint8)
-        npt.assert_array_equal(augment.rotate(img, 0.0), img)
+        npt.assert_array_equal(rotate(img, 0.0), img)
 
     def test_constant_image_any_angle(self):
         img = np.full((8, 8), 42, dtype=np.uint8)
         for deg in (3.0, 45.0, 90.0, -170.0):
-            npt.assert_array_equal(augment.rotate(img, deg), img)
+            npt.assert_array_equal(rotate(img, deg), img)
 
     def test_quarter_turn_2x2(self):
         img = np.array([[1.0, 2.0], [3.0, 4.0]])
-        npt.assert_allclose(augment.rotate(img, 90.0), [[2.0, 4.0], [1.0, 3.0]])
+        npt.assert_allclose(rotate(img, 90.0), [[2.0, 4.0], [1.0, 3.0]])
 
     def test_dims_preserved(self):
         img = np.random.default_rng(1).integers(0, 256, size=(15, 25)).astype(np.uint8)
-        assert augment.rotate(img, 10).shape == img.shape
+        assert rotate(img, 10).shape == img.shape
 
     def test_float_patch_keeps_dtype(self):
         img = np.random.default_rng(2).uniform(0, 255, size=(6, 6)).astype(np.float32)
-        assert augment.rotate(img, 5.0).dtype == np.float32
+        assert rotate(img, 5.0).dtype == np.float32
 
 
 finite_patches = st.one_of(
@@ -83,42 +96,42 @@ class TestIdentityParameters:
     @example(img=LINES[0], degrees=0.0)
     @example(img=LINES[1], degrees=-0.0)
     def test_rotate_by_zero(self, img, degrees):
-        assert unchanged(augment.rotate(img, degrees), img)
+        assert unchanged(rotate(img, degrees), img)
 
     @settings(max_examples=150, deadline=None)
     @given(img=finite_patches)
     @example(img=LINES[0])
     @example(img=LINES[1])
     def test_rescale_by_one(self, img):
-        assert unchanged(augment.rescale(img, 1.0), img)
+        assert unchanged(rescale(img, 1.0), img)
 
 
 class TestGaussianBlur:
     def test_sigma_zero_is_identity(self):
         img = np.random.default_rng(3).integers(0, 256, size=(7, 9)).astype(np.uint8)
-        npt.assert_array_equal(augment.gaussian_blur(img, 0.0), img)
+        npt.assert_array_equal(gaussian_blur(img, 0.0), img)
 
     def test_constant_image_any_sigma(self):
         img = np.full((10, 10), 77, dtype=np.uint8)
         for sigma in (0.5, 1.0, 3.0):
-            npt.assert_array_equal(augment.gaussian_blur(img, sigma), img)
+            npt.assert_array_equal(gaussian_blur(img, sigma), img)
 
     def test_mean_preserved(self):
         rng = np.random.default_rng(4)
         for _ in range(5):
             img = rng.integers(0, 256, size=(20, 30)).astype(np.uint8)
-            out = augment.gaussian_blur(img, 1.0)
+            out = gaussian_blur(img, 1.0)
             assert abs(float(img.mean()) - float(out.mean())) < 0.5
 
     def test_smooths_variance(self):
         rng = np.random.default_rng(5)
         img = rng.integers(0, 256, size=(20, 20)).astype(np.uint8)
-        out = augment.gaussian_blur(img, 1.5)
+        out = gaussian_blur(img, 1.5)
         assert out.astype(float).var() < img.astype(float).var()
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            augment.gaussian_blur(np.zeros((4, 4), dtype=np.uint8), -0.1)
+            augment.gaussian_blur(np.zeros((1, 4, 4), dtype=np.uint8), -0.1)
 
 
 def rescale_up_by_full_resize(img, factor):
@@ -141,50 +154,50 @@ class TestRescale:
     @example(img=LINES[0], factor=1.1)
     @example(img=LINES[1], factor=4.99)
     def test_upscale_samples_the_full_resize_centre(self, img, factor):
-        out = augment.rescale(img, factor)
+        out = rescale(img, factor)
         ref = rescale_up_by_full_resize(img, factor)
         assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
 
     def test_huge_factor_keeps_patch_size(self):
         # the full resize would be 1.5e6 x 2.5e6 pixels
         img = np.random.default_rng(10).integers(0, 256, size=(15, 25)).astype(np.uint8)
-        out = augment.rescale(img, 1e5)
+        out = rescale(img, 1e5)
         assert out.shape == img.shape and out.dtype == np.uint8
 
     def test_factor_one_is_identity(self):
         img = np.random.default_rng(6).integers(0, 256, size=(8, 8)).astype(np.uint8)
-        npt.assert_array_equal(augment.rescale(img, 1.0), img)
+        npt.assert_array_equal(rescale(img, 1.0), img)
 
     def test_constant_image_any_factor(self):
         img = np.full((8, 12), 9, dtype=np.uint8)
         for factor in (0.5, 0.9, 1.1, 2.0):
-            npt.assert_array_equal(augment.rescale(img, factor), img)
+            npt.assert_array_equal(rescale(img, factor), img)
 
     def test_factor_two_matches_two_step_rule(self):
         rng = np.random.default_rng(7)
         img = rng.uniform(0, 255, size=(4, 4))
         # stated rule: resize up to 8x8, then crop the central 4x4
         expected = scalar_bilinear_resize(img, 8, 8)[2:6, 2:6]
-        npt.assert_allclose(augment.rescale(img, 2.0), expected, rtol=1e-5)
+        npt.assert_allclose(rescale(img, 2.0), expected, rtol=1e-5)
 
     def test_shrink_matches_crop_then_upsize(self):
         rng = np.random.default_rng(8)
         img = rng.uniform(0, 255, size=(10, 10))
         # factor 0.5: central 5x5 crop resized back to 10x10
         expected = scalar_bilinear_resize(img[2:7, 2:7], 10, 10)
-        npt.assert_allclose(augment.rescale(img, 0.5), expected, rtol=1e-5)
+        npt.assert_allclose(rescale(img, 0.5), expected, rtol=1e-5)
 
     def test_dims_always_preserved(self):
         img = np.random.default_rng(9).integers(0, 256, size=(15, 25)).astype(np.uint8)
         for factor in (0.7, 0.9, 1.1, 1.6):
-            assert augment.rescale(img, factor).shape == img.shape
+            assert rescale(img, factor).shape == img.shape
 
     def test_degenerate_factor_rejected(self):
         img = np.zeros((4, 4), dtype=np.uint8)
         with pytest.raises(ValueError):
-            augment.rescale(img, 0.0)
+            rescale(img, 0.0)
         with pytest.raises(ValueError):
-            augment.rescale(img, 0.05)  # central crop would be empty
+            rescale(img, 0.05)  # central crop would be empty
 
 
 class TestPolicy:
@@ -218,52 +231,55 @@ def per_source(policy):
 
 def make_patches(n, split="train", seed=0):
     rng = np.random.default_rng(seed)
-    return [
-        EyePatch(rng.uniform(0, 255, size=(15, 25)).astype(np.float32), int(rng.integers(0, 7)), split)
-        for _ in range(n)
-    ]
+    return EyePatches(rng.uniform(0, 255, size=(n, 15, 25)).astype(np.float32),
+                      rng.integers(0, 7, size=n), split)
 
 
 class TestExpand:
     def test_default_policy_count(self):
         out = augment.expand(make_patches(10), AugmentPolicy())
-        assert len(out) == 90  # 10 * (1 + 4 + 2 + 2)
+        assert len(out) == len(out.pixels) == len(out.labels) == 90  # 10 * (1 + 4 + 2 + 2)
 
     def test_empty_policy_is_identity(self):
         patches = make_patches(5)
         out = augment.expand(patches, AugmentPolicy((), (), ()))
-        assert out == patches
+        assert out.pixels.dtype == patches.pixels.dtype
+        assert out.pixels.tobytes() == patches.pixels.tobytes()
+        npt.assert_array_equal(out.labels, patches.labels)
+        assert out.split == patches.split
 
     def test_labels_and_split_preserved(self):
         patches = make_patches(6, seed=1)
         out = augment.expand(patches, AugmentPolicy())
         n = per_source(AugmentPolicy())
-        for i, patch in enumerate(out):
-            source = patches[i // n]
-            assert patch.label == source.label
-            assert patch.split == "train"
-            assert patch.pixels.shape == source.pixels.shape
+        npt.assert_array_equal(out.labels, [patches.labels[i // n] for i in range(len(out))])
+        assert out.split == "train"
+        assert out.pixels.shape == (len(out), *patches.pixels.shape[1:])
 
     def test_originals_kept_verbatim(self):
         patches = make_patches(3, seed=2)
         out = augment.expand(patches, AugmentPolicy())
         n = per_source(AugmentPolicy())
-        for i, patch in enumerate(patches):
-            npt.assert_array_equal(out[i * n].pixels, patch.pixels)
+        for i, pixels in enumerate(patches.pixels):
+            npt.assert_array_equal(out.pixels[i * n], pixels)
 
-    def test_test_split_guarded(self):
-        patches = make_patches(2) + make_patches(1, split="test")
+    def test_test_split_guarded(self, monkeypatch):
+        """The test split is refused before any transform runs on it."""
+        calls = []
+        for name in ("rotate", "gaussian_blur", "rescale"):
+            monkeypatch.setattr(augment, name, lambda stack, param, name=name: calls.append(name))
         with pytest.raises(ValueError, match="test split"):
-            augment.expand(patches, AugmentPolicy())
+            augment.expand(make_patches(3, split="test"), AugmentPolicy())
+        assert calls == []
 
     def test_deterministic(self):
         patches = make_patches(4, seed=3)
         a = augment.expand(patches, AugmentPolicy())
         b = augment.expand(patches, AugmentPolicy())
-        assert all(np.array_equal(x.pixels, y.pixels) for x, y in zip(a, b))
+        assert a.pixels.tobytes() == b.pixels.tobytes()
+        npt.assert_array_equal(a.labels, b.labels)
 
 
-# --------------------------------------------------------------------------
 # the per-patch transforms and expand body that preceded the stacked kernels,
 # kept as the byte-for-byte oracle of expand
 # --------------------------------------------------------------------------
@@ -342,72 +358,63 @@ def per_patch_rescale(img, factor):
 
 def per_patch_expand(patches, policy):
     out = []
-    for p in patches:
-        out.append(p)
-        for deg in policy.rotation_degrees:
-            out.append(EyePatch(per_patch_rotate(p.pixels, deg), p.label, p.split))
-        for sigma in policy.blur_sigmas:
-            out.append(EyePatch(per_patch_blur(p.pixels, sigma), p.label, p.split))
-        for f in policy.scale_factors:
-            out.append(EyePatch(per_patch_rescale(p.pixels, f), p.label, p.split))
-    return out
+    for pixels in patches.pixels:
+        out.append(pixels)
+        out.extend(per_patch_rotate(pixels, deg) for deg in policy.rotation_degrees)
+        out.extend(per_patch_blur(pixels, sigma) for sigma in policy.blur_sigmas)
+        out.extend(per_patch_rescale(pixels, f) for f in policy.scale_factors)
+    labels = np.repeat(patches.labels, per_source(policy))
+    return EyePatches(np.array(out).reshape(-1, *patches.pixels.shape[1:]), labels, patches.split)
 
 
 def assert_same_entries(got, want):
     assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert (g.label, g.split) == (w.label, w.split)
-        assert g.pixels.dtype == w.pixels.dtype and g.pixels.shape == w.pixels.shape
-        assert g.pixels.tobytes() == w.pixels.tobytes()
+    npt.assert_array_equal(got.labels, want.labels)
+    assert got.split == want.split
+    assert got.pixels.dtype == want.pixels.dtype and got.pixels.shape == want.pixels.shape
+    assert got.pixels.tobytes() == want.pixels.tobytes()
 
 
-def mixed_patches(n, kinds, seed):
-    """n patches, each of a (h, w, dtype) kind drawn from kinds."""
+def random_patches(n, h, w, dtype, seed):
+    """n patches of one (h, w, dtype) kind with random labels."""
     rng = np.random.default_rng(seed)
-    patches = []
-    for i in range(n):
-        h, w, dtype = kinds[rng.integers(len(kinds))]
-        if dtype == "uint8":
-            pixels = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-        else:
-            pixels = (rng.normal(size=(h, w)) * 100).astype(dtype)
-        patches.append(EyePatch(pixels, int(rng.integers(0, 7))))
-    return patches
-
-
-patch_kinds = st.lists(
-    st.tuples(st.integers(1, 16), st.integers(1, 16),
-              st.sampled_from(["uint8", "float32", "float64"])),
-    min_size=1, max_size=3,
-)
+    if dtype == "uint8":
+        pixels = rng.integers(0, 256, size=(n, h, w), dtype=np.uint8)
+    else:
+        pixels = (rng.normal(size=(n, h, w)) * 100).astype(dtype)
+    return EyePatches(pixels, rng.integers(0, 7, size=n))
 
 
 class TestStackedExpand:
-    """expand transforms stacks of AUGMENT_CHUNK same-kind patches; the
-    result is byte-equal to transforming one patch at a time."""
+    """expand transforms stacks of AUGMENT_CHUNK patches; the result is
+    byte-equal to transforming one patch at a time."""
 
     @settings(max_examples=25, deadline=None)
     @given(
         n=st.sampled_from([1, 31, 32, 33, 65]),
-        kinds=patch_kinds,
+        kind=st.tuples(st.integers(1, 16), st.integers(1, 16),
+                       st.sampled_from(["uint8", "float32", "float64"])),
         rotations=st.lists(st.floats(-1e4, 1e4), max_size=2),
         sigmas=st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5, 7.0]), max_size=2),
         factors=st.lists(st.one_of(st.just(1.0), st.floats(0.5, 4.0)), max_size=2),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n=33, kinds=[(15, 25, "uint8"), (4, 7, "float32"), (9, 2, "float64")],
-             rotations=[5.0, -170.0], sigmas=[0.0, 2.5], factors=[0.5, 1.0], seed=0)
-    @example(n=65, kinds=[(15, 25, "uint8")], rotations=[33.0, 1e6], sigmas=[0.3],
+    @example(n=33, kind=(4, 7, "float32"), rotations=[5.0, -170.0], sigmas=[0.0, 2.5],
+             factors=[0.5, 1.0], seed=0)
+    @example(n=33, kind=(9, 2, "float64"), rotations=[5.0, -170.0], sigmas=[0.0, 2.5],
+             factors=[0.5, 1.0], seed=0)
+    @example(n=65, kind=(15, 25, "uint8"), rotations=[33.0, 1e6], sigmas=[0.3],
              factors=[1.0, 3.0], seed=1)
-    def test_equals_the_per_patch_body(self, n, kinds, rotations, sigmas, factors, seed):
-        patches = mixed_patches(n, kinds, seed)
+    def test_equals_the_per_patch_body(self, n, kind, rotations, sigmas, factors, seed):
+        patches = random_patches(n, *kind, seed)
         policy = AugmentPolicy(tuple(rotations), tuple(sigmas), tuple(factors))
         assert_same_entries(augment.expand(patches, policy), per_patch_expand(patches, policy))
 
     def test_default_policy_on_eye_patch_sizes(self):
-        patches = mixed_patches(70, [(15, 25, "float32"), (42, 50, "float32")], seed=4)
         policy = AugmentPolicy()
-        assert_same_entries(augment.expand(patches, policy), per_patch_expand(patches, policy))
+        for hw in ((15, 25), (42, 50)):
+            patches = random_patches(70, *hw, "float32", seed=4)
+            assert_same_entries(augment.expand(patches, policy), per_patch_expand(patches, policy))
 
     def test_huge_sigma_blur_memory_stays_within_the_per_patch_peak(self):
         """sigma 1000 pads a 15x25 patch per pass by 3000 pixels a side in the
@@ -415,10 +422,11 @@ class TestStackedExpand:
         patch, so its peak over 64 patches stays within twice the per-patch
         body's peak on the first patch alone (a lower bound of its peak on
         all 64)."""
-        patches = mixed_patches(64, [(15, 25, "float32")], seed=5)
+        patches = random_patches(64, 15, 25, "float32", seed=5)
+        first = EyePatches(patches.pixels[:1], patches.labels[:1])
         policy = AugmentPolicy((), (1000.0,), ())
         outs, peaks = [], []
-        for fn, arg in ((per_patch_expand, patches[:1]), (augment.expand, patches)):
+        for fn, arg in ((per_patch_expand, first), (augment.expand, patches)):
             tracemalloc.start()
             try:
                 outs.append(fn(arg, policy))
@@ -427,18 +435,21 @@ class TestStackedExpand:
                 tracemalloc.stop()
         oracle, stacked = peaks
         assert stacked <= 2 * oracle, (stacked, oracle)
-        assert_same_entries(outs[1][:2], outs[0])
+        head = outs[1]
+        assert_same_entries(EyePatches(head.pixels[:2], head.labels[:2]), outs[0])
 
 
 class TestSingleChannelContract:
-    """The 2-D transforms are stacks of one; a colour (H, W, 3) image must
-    still be rejected, not read as H single-row images."""
+    """The transforms take an (N, h, w) stack, so a stack of colour images,
+    (N, h, w, 3), must be rejected, not read as N*h single-row images; the
+    2-D normalize rejects one colour (h, w, 3) image."""
 
     @pytest.mark.parametrize("call, message", [
-        (lambda img: augment.rotate(img, 5.0), "rotate expects a single-channel image"),
-        (lambda img: augment.gaussian_blur(img, 1.0), "gaussian_blur expects a single-channel image"),
-        (lambda img: augment.rescale(img, 1.1), "rescale expects a single-channel image"),
-        (lambda img: augment.rescale(img, 0.9), "rescale expects a single-channel image"),
+        (lambda img: augment.rotate(img[None], 5.0), "rotate expects a single-channel image"),
+        (lambda img: augment.gaussian_blur(img[None], 1.0),
+         "gaussian_blur expects a single-channel image"),
+        (lambda img: augment.rescale(img[None], 1.1), "rescale expects a single-channel image"),
+        (lambda img: augment.rescale(img[None], 0.9), "rescale expects a single-channel image"),
         (preprocess.normalize, "normalize expects a single-channel image"),
     ])
     def test_colour_image_rejected(self, call, message):
@@ -447,6 +458,6 @@ class TestSingleChannelContract:
             call(img)
 
     def test_expand_rejects_a_colour_patch(self):
-        patches = [EyePatch(np.zeros((6, 8, 3), dtype=np.uint8), 0)]
+        patches = EyePatches(np.zeros((1, 6, 8, 3), dtype=np.uint8), np.zeros(1, dtype=int))
         with pytest.raises(ValueError, match="^rotate expects a single-channel image$"):
             augment.expand(patches, AugmentPolicy())

@@ -90,8 +90,8 @@ def test_per_side_calls_match_the_pair_path(corpus, monkeypatch, mode, side):
     patches = dataset.make_eye_patches(samples, side, mode, image_root=root)
     assert calls == {"read_pnm": len(samples), "crop": len(samples)}
     monkeypatch.undo()
-    assert [p.pixels.tobytes() for p in patches] == [p.pixels.tobytes() for p in pairs[k]]
-    assert [p.label for p in patches] == [p.label for p in pairs[k]]
+    assert patches.pixels.tobytes() == pairs[k].pixels.tobytes()
+    assert patches.labels.tolist() == pairs[k].labels.tolist()
 
     hw = dataset.default_patch_hw(mode)
     for sample in samples:
@@ -101,23 +101,24 @@ def test_per_side_calls_match_the_pair_path(corpus, monkeypatch, mode, side):
 
 
 def test_augmentation_runs_stacked_kernels(monkeypatch):
-    """expand calls each stacked kernel once per stack of AUGMENT_CHUNK
-    patches and policy parameter, so a return to one call per patch fails
-    here, not only as a slower benchmark set-up."""
+    """expand calls each stacked kernel, by the public name the benchmark's
+    tracer wraps, once per stack of AUGMENT_CHUNK patches and policy
+    parameter, so a return to one call per patch fails here, not only as a
+    slower benchmark set-up."""
     rng = np.random.default_rng(0)
-    patches = [dataset.EyePatch(rng.uniform(0, 255, (15, 25)).astype(np.float32), i % 7)
-               for i in range(65)]
+    patches = dataset.EyePatches(rng.uniform(0, 255, (65, 15, 25)).astype(np.float32),
+                                 np.arange(65) % 7)
     policy = augment.AugmentPolicy()
     stacks = collections.defaultdict(list)  # stack sizes per kernel and parameter
-    for name in ("_rotate", "_blur", "_rescale"):
+    for name in ("rotate", "gaussian_blur", "rescale"):
         def spy(stack, param, fn=getattr(augment, name), name=name):
             stacks[name, param].append(len(stack))
             return fn(stack, param)
         monkeypatch.setattr(augment, name, spy)
     assert len(augment.expand(patches, policy)) == 65 * 9
-    keys = [*(("_rotate", d) for d in policy.rotation_degrees),
-            *(("_blur", s) for s in policy.blur_sigmas),
-            *(("_rescale", f) for f in policy.scale_factors)]
+    keys = [*(("rotate", d) for d in policy.rotation_degrees),
+            *(("gaussian_blur", s) for s in policy.blur_sigmas),
+            *(("rescale", f) for f in policy.scale_factors)]
     # ceil(65 / AUGMENT_CHUNK) = 3 calls per parameter
     assert dict(stacks) == {key: [32, 32, 1] for key in keys}
 
@@ -168,3 +169,38 @@ def test_workload_calls_run(tmp_path, monkeypatch, name):
     wl.setup()
     assert [wl.op(i) for i in range(4)] == [True] * 4
     assert wl.check() == (set(), [])
+
+
+@pytest.mark.parametrize("name", BENCH_WORKLOADS)
+def test_traced_workload_records_the_calls_it_runs(tmp_path, monkeypatch, name):
+    """A traced run (the benchmark's --trace 1) at test_workload_calls_run's
+    sizes: no wrapped call fails, the train_ert set-up's transforms are
+    recorded under the names the tracer wraps, and augment.expand's per-call
+    notes add up to the patches it expanded, so a transform that expand
+    calls by another name, or an EyePatches length that is not its patch
+    count, fails here and not only in a traced benchmark run."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    gen = importlib.import_module("gen")
+    workloads = importlib.import_module("workloads")
+    monkeypatch.setattr(gen, "PREDICT_FRAMES", 6)
+    monkeypatch.setattr(gen, "VGA_IMAGES", 6)
+    monkeypatch.setattr(gen, "TRAIN_PER_CLASS", 2)
+    gz = gen.import_gazedir(ROOT)
+    gen.generate(gz, name, 5, str(tmp_path))
+    wl = workloads.WORKLOADS[name](gz, str(tmp_path), 5)
+    plain, traced, tr = workloads.traced_run(wl, gz, 0.4)
+    metrics, _ = workloads.layer_metrics(
+        tr, len(traced["lat_ms"]),
+        np.percentile(plain["lat_ms"], 50), np.percentile(traced["lat_ms"], 50),
+    )
+    assert plain["failed"] == traced["failed"] == set()
+    assert metrics["trace.failed_calls"] == 0
+
+    expanded = 0  # patches the train_ert set-up hands to expand, one eye at a time
+    if name == "train_ert":
+        samples = dataset.load_manifest(os.path.join(str(tmp_path), gen.MANIFEST))
+        expanded = len(dataset.SIDES) * len(dataset.split_50_50(samples, 5).train)
+        for kernel in ("rotate", "gaussian_blur", "rescale"):
+            assert metrics[f"augment.{kernel}.calls"] > 0, kernel
+    notes = [note for nid, note in zip(tr.name, tr.note) if tr.names[nid] == "augment.expand"]
+    assert sum(notes) == expanded

@@ -525,6 +525,30 @@ class TestEvalCommand:
         lines = (reports / "confusion.csv").read_text().strip().split("\n")
         assert len(lines) == 8 and lines[0] == ",VD,VR,VC,AR,AC,ID,K"
 
+    def test_eval_and_predict_patches_carry_the_test_split(
+            self, trained, corpus, tmp_path, monkeypatch):
+        """The patches eval and predict score are tagged "test", so
+        augmentation refuses them."""
+        scored = []
+        make_eye_pairs = dataset.make_eye_pairs
+
+        def spy(*args, **kwargs):
+            pairs = make_eye_pairs(*args, **kwargs)
+            scored.extend(p for p in pairs if p is not None)
+            return pairs
+
+        monkeypatch.setattr(dataset, "make_eye_pairs", spy)
+        assert run([
+            "eval", "--manifest", str(corpus / "manifest.csv"),
+            "--model-dir", str(trained / "models"), "--report-dir", str(tmp_path),
+            "--mode", "ert", "--seed", "1",
+        ]) == 0
+        assert _predict_ert(corpus, trained / "models") == 0
+        assert [p.split for p in scored] == ["test"] * 4
+        for patches in scored:
+            with pytest.raises(ValueError, match="test split"):
+                augment.expand(patches, AugmentPolicy())
+
     def test_single_eye_mode(self, trained, corpus, tmp_path):
         code = run([
             "eval", "--manifest", str(corpus / "manifest.csv"),
@@ -1001,7 +1025,7 @@ class TestRuntimeFailures:
         def out_of_memory(stack, factor):
             raise MemoryError(message)
 
-        monkeypatch.setattr(augment, "_rescale", out_of_memory)
+        monkeypatch.setattr(augment, "rescale", out_of_memory)
         code = run([
             "train", "--manifest", str(corpus / "manifest.csv"),
             "--model-dir", str(tmp_path / "models"), "--epochs", "1",

@@ -375,15 +375,15 @@ class TestBenchLatency:
         mr = nn.build_gaze_net(15, 25, 7, seed=1)
         base = fusion.bench_latency(ml, mr, samples[:8], 2, "ert", root)
 
-        slow_normalize = preprocess.normalize
+        slow_normalize = preprocess.normalize_stack
 
-        def delayed(img):
-            time.sleep(0.005)
-            return slow_normalize(img)
+        def delayed(stack):
+            time.sleep(0.010)
+            return slow_normalize(stack)
 
-        monkeypatch.setattr(preprocess, "normalize", delayed)
+        monkeypatch.setattr(preprocess, "normalize_stack", delayed)
         slowed = fusion.bench_latency(ml, mr, samples[:8], 2, "ert", root)
-        # two normalize calls per frame -> at least ~10 ms extra
+        # one normalize call per frame, both eyes stacked -> at least ~10 ms extra
         assert slowed["stages"]["normalize"]["mean_ms"] > base["stages"]["normalize"]["mean_ms"] + 8
         assert slowed["end_to_end"]["mean_ms"] > base["end_to_end"]["mean_ms"] + 8
 

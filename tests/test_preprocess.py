@@ -449,7 +449,7 @@ class TestBilinearSampler:
     )
     def test_rotate_matches_reference(self, h, w, degrees, dtype, seed):
         img = random_image(seed, h, w, dtype)
-        out = augment.rotate(img, degrees)
+        out = augment.rotate(img[None], degrees)[0]
         ref = reference_rotate(img, degrees)
         assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
 
