@@ -4,9 +4,10 @@ A manifest is a CSV binding each image to its face box, optional eye-corner
 landmarks, gaze class, and optional subject id. Rows become Samples; Samples
 become one EyePatches per eye, an (N, h, w) array at the mode's patch size
 with a label vector, via the preprocess chain: each decoded image is cropped
-to its eye boxes, each crop is greyed, and each grey crop is resized to the
-patch size, so a colour frame is never greyed whole. The 7 -> 3 class mapping
-is run configuration, in `config` (RunConfig.map3).
+to its eye boxes, and a run of CROP_CHUNK images' crops is greyed and resized
+to the patch size in one stack per crop shape, so a colour frame is never
+greyed whole. The 7 -> 3 class mapping is run configuration, in `config`
+(RunConfig.map3).
 """
 
 from __future__ import annotations
@@ -234,6 +235,9 @@ def split_subject_disjoint(samples: list[Sample], seed: int) -> SplitPair:
 
 # run choices: crop path (mode) -> patch (rows, cols), eyes, class sets by size
 PATCH_HW = {"roi": (42, 50), "ert": (15, 25)}
+# samples whose crops make_eye_pairs greys and resizes together: one stack per
+# crop shape per run, and memory grows by a run's crops, not by frames
+CROP_CHUNK = 32
 SIDES = ("left", "right")
 EYES = (*SIDES, "both")
 CLASS_SETS = {3: ThreeClass, 7: EacClass}
@@ -282,21 +286,44 @@ def eye_pair(
     img: np.ndarray, sample: Sample, mode: str, patch_hw: tuple[int, int], eye: str = "both",
     top: int = 0, height: int | None = None,
 ) -> tuple:
-    """(left, right) patches of one decoded (H, W) or (H, W, 3) image: each eye
-    box is cropped, the crop greyed, and the grey crop resized to patch_hw. Luma
-    is per pixel, so this equals greying the whole frame first. img may be the
+    """(left, right) patches of one decoded (H, W) or (H, W, 3) image: the
+    one-frame case of make_eye_pairs. Each eye box is cropped, and the crops
+    are greyed and resized to patch_hw as one stack (see _grey_resize). Luma is
+    per pixel, so this equals greying the whole frame first. img may be the
     band of rows top.. of an image `height` rows tall that read_frame returns;
     boxes are clamped to the whole image, as preprocess.crop does. An eye that
-    `eye` does not select is None and is not cropped. Errors name the image."""
-    h, w = patch_hw
+    `eye` does not select is None and is not cropped. Crop errors name the image."""
+    crops = _crop_eyes(img, sample, mode, eye, top, height)
+    patches = iter(_grey_resize([c for c in crops if c is not None], patch_hw))
+    return tuple(None if c is None else next(patches) for c in crops)
+
+
+def _crop_eyes(img, sample: Sample, mode: str, eye: str, top: int, height: int | None) -> list:
+    """The (left, right) crops of img under the sample's eye boxes, None for an
+    eye that `eye` does not select; errors name the image."""
     try:
-        return tuple(
-            None if box is None else preprocess.resize_bilinear(
-                preprocess.to_grayscale(preprocess.crop(img, box, top, height)), w, h)
-            for box in eye_boxes(sample, mode, eye)
-        )
+        return [None if box is None else preprocess.crop(img, box, top, height)
+                for box in eye_boxes(sample, mode, eye)]
     except ValueError as exc:
         raise ValueError(f"{sample.image_path}: {exc}") from None
+
+
+def _grey_resize(crops: list[np.ndarray], patch_hw: tuple[int, int]) -> np.ndarray:
+    """float32 (len(crops), h, w) patches of the crops, in order. Each group of
+    same-shape crops is stacked, greyed with one to_grayscale call if colour
+    (a 3-D crop, so never grouped with grey ones) and resized with one
+    resize_bilinear call; both work image by image."""
+    h, w = patch_hw
+    groups = collections.defaultdict(list)
+    for i, c in enumerate(crops):
+        groups[c.shape].append(i)
+    out = np.empty((len(crops), h, w), np.float32)
+    for rows in groups.values():
+        stack = np.stack([crops[i] for i in rows])
+        if stack.ndim == 4:
+            stack = preprocess.to_grayscale(stack)
+        out[rows] = preprocess.resize_bilinear(stack, w, h)
+    return out
 
 
 def extract_patch(
@@ -311,8 +338,8 @@ def read_frame(
 ) -> tuple[np.ndarray, int, int]:
     """(band, top, height) of the sample's image, as read_pnm returns over the
     rows its selected eye boxes span: only those rows are read. When the boxes
-    are bad, the whole image with top 0, which eye_pair reports after the
-    decode, so a bad image is still reported first."""
+    are bad, the whole image with top 0; cropping then reports the boxes after
+    the decode, so a bad image is still reported first."""
     path = os.path.join(image_root, sample.image_path)
     try:
         boxes = [box for box in eye_boxes(sample, mode, eye) if box is not None]
@@ -330,7 +357,10 @@ def make_eye_pairs(
     """(left, right) EyePatches of the samples at the mode's patch size,
     tagged with their split, one row per sample; each image is decoded once.
     An eye that `eye` does not select is None. Only the rows the selected eye
-    boxes span are read from the file and held in memory.
+    boxes span are read from the file, and only the crops are kept: the
+    samples are cropped in runs of CROP_CHUNK, and each run's crops are greyed
+    and resized in one stack per crop shape, equal to eye_pair per sample.
+    Errors name the image; the first bad sample in order is the one reported.
 
     labels defaults to each sample's 7-class index; pass explicit labels for
     3-class runs.
@@ -338,13 +368,20 @@ def make_eye_pairs(
     hw = default_patch_hw(mode)
     ys = np.array([int(s.eac) if labels is None else int(labels[i])
                    for i, s in enumerate(samples)], dtype=int)
-    out = [np.empty((len(samples), *hw), np.float32) if w else None for w in eye_selection(eye)]
-    for i, sample in enumerate(samples):
-        band, top, height = read_frame(sample, mode, image_root, eye)
-        for pixels, patch in zip(out, eye_pair(band, sample, mode, hw, eye, top, height)):
-            if pixels is not None:
-                pixels[i] = patch
-    return tuple(None if pixels is None else EyePatches(pixels, ys, split) for pixels in out)
+    wanted = eye_selection(eye)
+    out = [np.empty((len(samples), *hw), np.float32) for w in wanted if w]
+    for start in range(0, len(samples), CROP_CHUNK):
+        run = samples[start : start + CROP_CHUNK]
+        crops = []
+        for sample in run:
+            band, top, height = read_frame(sample, mode, image_root, eye)
+            crops += (c for c in _crop_eyes(band, sample, mode, eye, top, height) if c is not None)
+        # crops hold each sample's selected eyes in (left, right) order
+        patches = _grey_resize(crops, hw).reshape(len(run), len(out), *hw)
+        for k, pixels in enumerate(out):
+            pixels[start : start + len(run)] = patches[:, k]
+    eyes = iter(EyePatches(pixels, ys, split) for pixels in out)
+    return tuple(next(eyes) if w else None for w in wanted)
 
 
 def make_eye_patches(

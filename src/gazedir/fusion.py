@@ -123,9 +123,9 @@ BENCH_STAGES = ("decode", "crop_resize", "normalize", "forward_left", "forward_r
 
 
 def _run_stages(model_left, model_right, sample, mode, patch_hw, image_root) -> list[float]:
-    """One sample from its file through decode / crop+resize (the two calls of
-    make_eye_pairs) / normalize / two forwards / fuse; returns the perf_counter
-    stamps before, between and after the stages."""
+    """One sample from its file through decode / crop+resize (read_frame and
+    eye_pair, make_eye_pairs' path for one frame) / normalize / two forwards /
+    fuse; returns the perf_counter stamps before, between and after the stages."""
     t0 = time.perf_counter()
     band, top, height = dataset.read_frame(sample, mode, image_root)
     t1 = time.perf_counter()

@@ -164,10 +164,13 @@ def _write_pnm(path, magic: bytes, img: np.ndarray) -> None:
 # --------------------------------------------------------------------------
 
 def to_grayscale(img: np.ndarray) -> np.ndarray:
-    """Rec.601 luma (0.299, 0.587, 0.114); 1-channel input passes through."""
+    """Rec.601 luma (0.299, 0.587, 0.114) of an (n, h, w, 3) stack of colour
+    images: uint8 (n, h, w). A 2-D image is single-channel and passes through.
+    Colour is told by ndim, never by a last axis of 3, so an (n, h, 3) stack is
+    not greyed as one colour image; it is refused."""
     if img.ndim == 2:
         return img
-    if img.ndim == 3 and img.shape[2] == 3:
+    if img.ndim == 4 and img.shape[3] == 3:
         luma = (
             0.299 * img[..., 0].astype(np.float64)
             + 0.587 * img[..., 1]
@@ -181,21 +184,24 @@ def bilinear_sample(src: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
     """Bilinear taps of a 2-D image, or of a stack (..., h, w) of them, at
     coordinates the caller has clamped to [0, w-1] x [0, h-1]; xs and ys
     broadcast to the output shape (out_h, out_w). Returns float64
-    (..., out_h, out_w).
+    (..., out_h, out_w). Each tap is one np.take of flat y*w + x indices along
+    the last axis of a (..., h*w) view, so a stack costs one gather per tap
+    (a broadcast fancy index is slower on a 2-stack than two 2-D calls).
     """
     h, w = src.shape[-2:]
-    src = src.astype(np.float64, copy=False)
+    flat = src.astype(np.float64, copy=False).reshape(*src.shape[:-2], h * w)
     x0 = np.floor(xs).astype(int)
     y0 = np.floor(ys).astype(int)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     fx = xs - x0
     fy = ys - y0
-    v00 = src[..., y0, x0]
-    v10 = src[..., y1, x0]
+    row0, row1 = y0 * w, y1 * w
+    v00 = np.take(flat, row0 + x0, axis=-1)
+    v10 = np.take(flat, row1 + x0, axis=-1)
     # lerp form keeps constant inputs exactly constant
-    top = v00 + (src[..., y0, x1] - v00) * fx
-    bottom = v10 + (src[..., y1, x1] - v10) * fx
+    top = v00 + (np.take(flat, row0 + x1, axis=-1) - v00) * fx
+    bottom = v10 + (np.take(flat, row1 + x1, axis=-1) - v10) * fx
     return top + (bottom - top) * fy
 
 
@@ -204,22 +210,26 @@ def resize_grid(size: int, out_size: int, start: int = 0, count: int | None = No
     start+count-1 (default: all out_size) of a half-pixel-centre resize of
     size pixels to out_size: (i+0.5)*size/out_size - 0.5."""
     count = out_size if count is None else count
-    return np.clip((np.arange(start, start + count) + 0.5) * (size / out_size) - 0.5, 0, size - 1)
+    # np.minimum(np.maximum(...)) is np.clip's result at a fraction of its call cost
+    grid = (np.arange(start, start + count) + 0.5) * (size / out_size) - 0.5
+    return np.minimum(np.maximum(grid, 0), size - 1)
 
 
-def resize_bilinear(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
-    """Bilinear resample with half-pixel-center sampling and edge clamping.
+def resize_bilinear(stack: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
+    """Bilinear resample of each image of an (n, h, w) single-channel stack,
+    with half-pixel-center sampling and edge clamping.
 
-    Output pixel (i, j) samples the source at
-    ((j+0.5)*w/out_w - 0.5, (i+0.5)*h/out_h - 0.5). Returns float32.
+    Output pixel (i, j) samples its source at
+    ((j+0.5)*w/out_w - 0.5, (i+0.5)*h/out_h - 0.5). Returns float32
+    (n, out_h, out_w), byte-identical to resizing the images one at a time.
     """
     if out_w < 1 or out_h < 1:
         raise ValueError(f"empty resize target {out_w}x{out_h}")
-    if img.ndim != 2:
-        raise ValueError(f"resize_bilinear expects a single-channel image, got shape {img.shape}")
-    h, w = img.shape
+    if stack.ndim != 3:
+        raise ValueError(f"resize_bilinear expects a single-channel image, got shape {stack.shape}")
+    h, w = stack.shape[1:]
     xs, ys = resize_grid(w, out_w), resize_grid(h, out_h)
-    return bilinear_sample(img, xs[None, :], ys[:, None]).astype(np.float32)
+    return bilinear_sample(stack, xs[None, :], ys[:, None]).astype(np.float32)
 
 
 def geometric_eye_rois(face: Box) -> tuple[Box, Box]:

@@ -140,7 +140,7 @@ def rescale_up_by_full_resize(img, factor):
     h, w = img.shape
     rh = max(int(math.floor(h * factor + 0.5)), h)
     rw = max(int(math.floor(w * factor + 0.5)), w)
-    big = preprocess.resize_bilinear(img, out_w=rw, out_h=rh)
+    big = preprocess.resize_bilinear(img[None], out_w=rw, out_h=rh)[0]
     y0, x0 = (rh - h) // 2, (rw - w) // 2
     out = big[y0 : y0 + h, x0 : x0 + w]
     if img.dtype == np.uint8:

@@ -472,14 +472,21 @@ class TestColourCorpus:
         dataset.write_manifest(p6 / "manifest.csv", colour)
         capsys.readouterr()
 
-        greyed = []
-        to_grayscale = preprocess.to_grayscale
+        greyed, colour_crops = [], []
+        to_grayscale, crop = preprocess.to_grayscale, preprocess.crop
 
         def spy(img):
-            greyed.append(img.shape[:2])
+            greyed.append(img.shape)
             return to_grayscale(img)
 
+        def crop_spy(*args):
+            out = crop(*args)
+            if out.ndim == 3:
+                colour_crops.append(out.shape)
+            return out
+
         monkeypatch.setattr(preprocess, "to_grayscale", spy)
+        monkeypatch.setattr(preprocess, "crop", crop_spy)
         face = synth.FACE
         lm = synth.canonical_landmarks()
         landmarks = ",".join(str(v) for v in (*lm.left_outer, *lm.left_inner,
@@ -503,8 +510,14 @@ class TestColourCorpus:
                      if p.is_file()}
             return files, capsys.readouterr()
 
-        assert outputs(p6, colour[0].image_path) == outputs(p5, samples[0].image_path)
-        assert greyed and (synth.CANVAS, synth.CANVAS) not in greyed
+        p6_outputs = outputs(p6, colour[0].image_path)
+        # luma sees stacks of colour eye crops, never a whole frame, and
+        # exactly the pixels of the colour crops taken
+        assert greyed and all(len(s) == 4 and s[1:3] != (synth.CANVAS, synth.CANVAS) for s in greyed)
+        assert sum(n * h * w for n, h, w, _ in greyed) == sum(h * w for h, w, _ in colour_crops)
+        greyed.clear()
+        assert p6_outputs == outputs(p5, samples[0].image_path)
+        assert greyed == []  # a grey frame never reaches luma
 
 
 class TestEvalCommand:

@@ -1,6 +1,7 @@
 """Manifest parsing, splits, label mapping, and eye-sample materialization."""
 
 import dataclasses
+import math
 import re
 from unittest import mock
 
@@ -498,17 +499,19 @@ class TestColourInput:
                 return str(exc)
             return [None if p is None else p.tobytes() for p in pair]
 
-        grey_first = patches(preprocess.to_grayscale(rgb))
+        grey_first = patches(preprocess.to_grayscale(rgb[None])[0])
         with mock.patch.object(preprocess, "to_grayscale", wraps=preprocess.to_grayscale) as spy:
             crop_first = patches(rgb)
         assert crop_first == grey_first
         if isinstance(crop_first, list):
             assert [p is None for p in crop_first] == [not s for s in dataset.eye_selection(eye)]
-            # one call per selected eye, each on that eye's colour crop
+            # one call per crop shape, each on a stack of colour crops of that
+            # shape, and the pixels greyed are those of the selected crops
             boxes = [b for b in dataset.eye_boxes(sample, mode, eye) if b is not None]
-            assert [c.args[0].shape for c in spy.call_args_list] == [
-                preprocess.crop(rgb, b).shape for b in boxes
-            ]
+            shapes = [preprocess.crop(rgb, b).shape for b in boxes]
+            stacks = [c.args[0].shape for c in spy.call_args_list]
+            assert sorted(s[1:] for s in stacks) == sorted(set(shapes))
+            assert sum(math.prod(s[:3]) for s in stacks) == sum(h * w for h, w, _ in shapes)
 
 
 @st.composite
@@ -564,3 +567,83 @@ class TestRowRead:
         with pytest.raises(ValueError) as exc:
             dataset.make_eye_pairs([sample], "roi", str(tmp_path), eye="left")
         assert str(exc.value) == f"frame.pgm: crop box {box} lies outside the 80x60 image"
+
+
+def write_pnm(path, img, maxval=255):
+    """img (0..255) stored as P5 or P6 at maxval, as read_pnm rescales it back."""
+    img = (img.astype(np.uint32) * maxval // 255).astype(np.uint8)
+    head = f"{'P5' if img.ndim == 2 else 'P6'}\n{img.shape[1]} {img.shape[0]}\n{maxval}\n"
+    path.write_bytes(head.encode("ascii") + img.tobytes())
+
+
+def landmarks_at(cx, cy, d):
+    """Eye corners d apart, level, for eyes centred at cx and cx + 20 on row cy."""
+    return preprocess.EyeLandmarks((cx - d / 2, cy), (cx + d / 2, cy),
+                                   (cx + 20 - d / 2, cy), (cx + 20 + d / 2, cy))
+
+
+def crop_run_corpus(root, n):
+    """n frames of mixed P5/P6, maxval and size, with faces and eye corners of
+    a few sizes, so each run of make_eye_pairs holds several crop shapes of
+    both kinds. The smallest face, on grey frames only, gives eye crops 3 px
+    wide ((3, 3) roi, (2, 3) ert), and so does colour frame CROP_CHUNK + 1."""
+    rng = np.random.default_rng(11)
+    samples = []
+    for i in range(n):
+        h, w = (40, 48) if i % 2 else (36, 44)
+        colour = i % 3 == 0
+        img = rng.integers(0, 256, size=(h, w, 3) if colour else (h, w), dtype=np.uint8)
+        face, d = [(Box(2, 4, 30, 24), 8.0), (Box(5, 3, 24, 30), 6.0), (Box(1, 1, 10, 10), 2.0)][i // 2 % 3]
+        if i == CHUNK + 1:
+            face, d = Box(1, 1, 10, 10), 2.0
+        name = f"f{i:02d}.{'ppm' if colour else 'pgm'}"
+        write_pnm(root / name, img, (255, 200, 255, 15)[i % 4])
+        samples.append(Sample(name, face, EacClass(i % 7), landmarks_at(10, 12, d)))
+    return samples
+
+
+CHUNK = dataset.CROP_CHUNK
+
+
+class TestCropRuns:
+    """make_eye_pairs crops runs of CROP_CHUNK frames and greys and resizes
+    each run's crops in one stack per crop shape; its patches and errors are
+    those of eye_pair on each whole decoded frame, across a run boundary."""
+
+    @pytest.mark.parametrize("mode", list(dataset.PATCH_HW))
+    @pytest.mark.parametrize("eye", dataset.EYES)
+    def test_runs_equal_per_frame_eye_pair(self, tmp_path, mode, eye):
+        samples = crop_run_corpus(tmp_path, CHUNK + 3)
+        hw = dataset.default_patch_hw(mode)
+        shapes = {preprocess.crop(preprocess.read_pnm(tmp_path / s.image_path), b).shape
+                  for s in samples for b in dataset.eye_boxes(s, mode, eye) if b is not None}
+        thin = {"roi": (3, 3), "ert": (2, 3)}[mode]
+        assert {thin, (*thin, 3)} <= shapes and len(shapes) >= 6
+        got = dataset.make_eye_pairs(samples, mode, str(tmp_path), eye=eye)
+        for k, selected in enumerate(dataset.eye_selection(eye)):
+            if not selected:
+                assert got[k] is None
+                continue
+            want = [dataset.eye_pair(preprocess.read_pnm(tmp_path / s.image_path), s, mode, hw, eye)[k]
+                    for s in samples]
+            assert got[k].pixels.tobytes() == np.stack(want).tobytes()
+            assert got[k].labels.tolist() == [int(s.eac) for s in samples]
+
+    def test_first_bad_sample_in_order_is_reported(self, tmp_path):
+        samples = crop_run_corpus(tmp_path, CHUNK + 3)
+        samples[2] = dataclasses.replace(samples[2], face=Box(500, 500, 30, 30))
+        (tmp_path / samples[5].image_path).write_bytes(b"P5\n4 4\n255\n")
+        with pytest.raises(ValueError, match=f"^{samples[2].image_path}: crop box "):
+            dataset.make_eye_pairs(samples, "roi", str(tmp_path))
+        with pytest.raises(ValueError, match=rf"/{re.escape(samples[5].image_path)}: raster truncated$"):
+            dataset.make_eye_pairs(samples[3:], "roi", str(tmp_path))
+
+    def test_error_in_second_run_names_its_image(self, tmp_path):
+        samples = crop_run_corpus(tmp_path, CHUNK + 3)
+        bad = CHUNK + 1
+        samples[bad] = dataclasses.replace(samples[bad], face=Box(-500, 0, 30, 30))
+        with pytest.raises(ValueError, match=f"^{samples[bad].image_path}: crop box "):
+            dataset.make_eye_pairs(samples, "roi", str(tmp_path))
+        samples[bad] = dataclasses.replace(samples[bad], landmarks=None)
+        with pytest.raises(ValueError, match=f"^{samples[bad].image_path}: ert mode needs"):
+            dataset.make_eye_pairs(samples, "ert", str(tmp_path))

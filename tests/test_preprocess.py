@@ -312,16 +312,16 @@ def test_row_read_allocates_only_its_band(tmp_path):
 
 class TestToGrayscale:
     def test_white_and_black(self):
-        img = np.zeros((1, 2, 3), dtype=np.uint8)
-        img[0, 0] = (255, 255, 255)
+        img = np.zeros((1, 1, 2, 3), dtype=np.uint8)
+        img[0, 0, 0] = (255, 255, 255)
         gray = preprocess.to_grayscale(img)
-        assert gray[0, 0] == 255
-        assert gray[0, 1] == 0
+        assert gray[0, 0, 0] == 255
+        assert gray[0, 0, 1] == 0
 
     def test_pure_red(self):
-        img = np.zeros((1, 1, 3), dtype=np.uint8)
-        img[0, 0] = (255, 0, 0)
-        assert preprocess.to_grayscale(img)[0, 0] == 76  # round(0.299*255)
+        img = np.zeros((1, 1, 1, 3), dtype=np.uint8)
+        img[0, 0, 0] = (255, 0, 0)
+        assert preprocess.to_grayscale(img)[0, 0, 0] == 76  # round(0.299*255)
 
     def test_single_channel_passthrough(self):
         img = np.arange(6, dtype=np.uint8).reshape(2, 3)
@@ -329,46 +329,61 @@ class TestToGrayscale:
 
     def test_output_range(self):
         rng = np.random.default_rng(1)
-        img = rng.integers(0, 256, size=(8, 9, 3), dtype=np.uint8)
+        img = rng.integers(0, 256, size=(2, 8, 9, 3), dtype=np.uint8)
         gray = preprocess.to_grayscale(img)
-        assert gray.dtype == np.uint8
+        assert gray.shape == (2, 8, 9) and gray.dtype == np.uint8
         assert gray.min() >= 0 and gray.max() <= 255
 
     def test_bad_channel_count_rejected(self):
-        with pytest.raises(ValueError):
-            preprocess.to_grayscale(np.zeros((2, 2, 4), dtype=np.uint8))
+        """Colour is an (n, h, w, 3) stack: a 4-channel stack is refused, and
+        so is any 3-D input, which is a grey stack or one colour image and
+        must not be told apart by its last axis."""
+        for shape in ((1, 2, 2, 4), (2, 2, 3), (2, 2, 4), (1, 1, 2, 2, 3)):
+            with pytest.raises(ValueError, match=re.escape(f"unsupported channel layout for shape {shape}")):
+                preprocess.to_grayscale(np.zeros(shape, dtype=np.uint8))
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 33), h=st.integers(1, 9), w=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_stack_equals_per_image(self, n, h, w, seed):
+        rgb = np.random.default_rng(seed).integers(0, 256, size=(n, h, w, 3), dtype=np.uint8)
+        gray = preprocess.to_grayscale(rgb)
+        assert gray.tobytes() == b"".join(preprocess.to_grayscale(img[None]).tobytes() for img in rgb)
 
 
 class TestResizeBilinear:
     def test_identity(self):
-        img = np.array([[1.0, 2.0], [3.0, 4.0]])
+        img = np.array([[[1.0, 2.0], [3.0, 4.0]]])
         npt.assert_array_equal(preprocess.resize_bilinear(img, 2, 2), img)
 
     def test_center_sample(self):
-        img = np.array([[1.0, 2.0], [3.0, 4.0]])
+        img = np.array([[[1.0, 2.0], [3.0, 4.0]]])
         out = preprocess.resize_bilinear(img, 1, 1)
-        npt.assert_allclose(out, [[2.5]])  # sample lands at the exact center
+        npt.assert_allclose(out, [[[2.5]]])  # sample lands at the exact center
 
     def test_constant_image_any_size(self):
-        img = np.full((3, 5), 77, dtype=np.uint8)
+        img = np.full((2, 3, 5), 77, dtype=np.uint8)
         for w, h in ((1, 1), (7, 2), (10, 10)):
             out = preprocess.resize_bilinear(img, w, h)
-            npt.assert_array_equal(out, np.full((h, w), 77.0, dtype=np.float32))
+            npt.assert_array_equal(out, np.full((2, h, w), 77.0, dtype=np.float32))
 
     def test_up_down_identity_on_constant(self):
-        img = np.full((4, 6), 13, dtype=np.uint8)
+        img = np.full((1, 4, 6), 13, dtype=np.uint8)
         up = preprocess.resize_bilinear(img, 12, 8)
         back = preprocess.resize_bilinear(up, 6, 4)
         npt.assert_array_equal(back, img.astype(np.float32))
 
     def test_empty_target_rejected(self):
         with pytest.raises(ValueError):
-            preprocess.resize_bilinear(np.zeros((2, 2)), 0, 1)
+            preprocess.resize_bilinear(np.zeros((1, 2, 2)), 0, 1)
 
     def test_three_channel_rejected(self):
-        img = np.dstack([np.full((2, 2), v, dtype=np.uint8) for v in (10, 20, 30)])
-        with pytest.raises(ValueError, match=r"single-channel image, got shape \(2, 2, 3\)"):
+        img = np.stack([np.full((1, 2, 2), v, dtype=np.uint8) for v in (10, 20, 30)], axis=-1)
+        with pytest.raises(ValueError, match=r"single-channel image, got shape \(1, 2, 2, 3\)"):
             preprocess.resize_bilinear(img, 4, 4)
+
+    def test_single_image_rejected(self):
+        with pytest.raises(ValueError, match=r"single-channel image, got shape \(2, 2\)"):
+            preprocess.resize_bilinear(np.zeros((2, 2)), 4, 4)
 
 
 def reference_resize_bilinear(img, out_w, out_h):
@@ -416,6 +431,24 @@ def reference_rotate(img, degrees):
     return augment._restore_dtype(top + (bottom - top) * fy, img)
 
 
+def reference_fancy_index_sample(src, xs, ys):
+    """The broadcast fancy-index gather bilinear_sample used before its
+    flat-index np.take."""
+    h, w = src.shape[-2:]
+    src = src.astype(np.float64, copy=False)
+    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(int)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xs - x0
+    fy = ys - y0
+    v00 = src[..., y0, x0]
+    v10 = src[..., y1, x0]
+    top = v00 + (src[..., y0, x1] - v00) * fx
+    bottom = v10 + (src[..., y1, x1] - v10) * fx
+    return top + (bottom - top) * fy
+
+
 def random_image(seed, h, w, dtype):
     rng = np.random.default_rng(seed)
     if dtype == np.uint8:
@@ -436,7 +469,7 @@ class TestBilinearSampler:
     )
     def test_resize_matches_reference(self, h, w, out_h, out_w, dtype, seed):
         img = random_image(seed, h, w, dtype)
-        out = preprocess.resize_bilinear(img, out_w, out_h)
+        out = preprocess.resize_bilinear(img[None], out_w, out_h)[0]
         ref = reference_resize_bilinear(img, out_w, out_h)
         assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
 
@@ -452,6 +485,46 @@ class TestBilinearSampler:
         out = augment.rotate(img[None], degrees)[0]
         ref = reference_rotate(img, degrees)
         assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 32]), h=st.integers(1, 30), w=st.integers(1, 30),
+        out_h=st.integers(1, 40), out_w=st.integers(1, 40),
+        field=st.sampled_from(["resize", "rotation"]),
+        degrees=st.floats(-360, 360, allow_nan=False),
+        dtype=st.sampled_from([np.uint8, np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_per_image_calls(self, n, h, w, out_h, out_w, field, degrees, dtype, seed):
+        """The flat-index gather on an (n, h, w) stack equals n 2-D calls and
+        the broadcast fancy-index gather it replaced, byte for byte."""
+        stack = np.stack([random_image(seed + i, h, w, dtype) for i in range(n)])
+        if field == "resize":  # separable grid: (1, out_w) and (out_h, 1)
+            xs = preprocess.resize_grid(w, out_w)[None, :]
+            ys = preprocess.resize_grid(h, out_h)[:, None]
+        else:  # a dense (h, w) field of rotated coordinates, as augment.rotate makes
+            rad = math.radians(degrees)
+            u, v = np.arange(w) - (w - 1) / 2, (np.arange(h) - (h - 1) / 2)[:, None]
+            xs = np.clip((w - 1) / 2 + u * math.cos(rad) - v * math.sin(rad), 0, w - 1)
+            ys = np.clip((h - 1) / 2 + u * math.sin(rad) + v * math.cos(rad), 0, h - 1)
+        out = preprocess.bilinear_sample(stack, xs, ys)
+        per_image = np.stack([preprocess.bilinear_sample(img, xs, ys) for img in stack])
+        assert out.tobytes() == per_image.tobytes()
+        assert out.tobytes() == reference_fancy_index_sample(stack, xs, ys).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 32]), h=st.integers(1, 30), w=st.integers(1, 30),
+        out_h=st.integers(1, 40), out_w=st.integers(1, 40),
+        dtype=st.sampled_from([np.uint8, np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_resize_stack_equals_per_image(self, n, h, w, out_h, out_w, dtype, seed):
+        images = [random_image(seed + i, h, w, dtype) for i in range(n)]
+        out = preprocess.resize_bilinear(np.stack(images), out_w, out_h)
+        assert out.shape == (n, out_h, out_w) and out.dtype == np.float32
+        assert out.tobytes() == b"".join(
+            reference_resize_bilinear(img, out_w, out_h).tobytes() for img in images)
 
 
 class TestGeometricEyeRois:
