@@ -66,7 +66,7 @@ def _triples(pairs) -> list[tuple]:
     """(left, right, label) per sample, each eye a (1, H, W) view of its
     normalized stack; an eye left uncropped is None."""
     labels = next(p.labels for p in pairs if p is not None).tolist()
-    eyes = [[None] * len(labels) if p is None else preprocess.normalize_stack(p.pixels)[:, None]
+    eyes = [[None] * len(labels) if p is None else preprocess.normalize_stack(p.pixels)
             for p in pairs]
     return list(zip(*eyes, labels))
 
@@ -104,7 +104,7 @@ def cmd_train(args) -> int:
     pairs = _eye_pairs(cfg, train, "train")
     for seed_offset, (side, patches) in enumerate(zip(dataset.SIDES, pairs)):
         patches = augment.expand(patches, cfg.policy)
-        xs = preprocess.normalize_stack(patches.pixels)[:, None]
+        xs = preprocess.normalize_stack(patches.pixels)
         model = nn.build_gaze_net(h, w, cfg.classes, seed=cfg.seed + seed_offset)
         side_losses = []
         for epoch in range(cfg.epochs):

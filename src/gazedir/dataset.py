@@ -3,11 +3,11 @@
 A manifest is a CSV binding each image to its face box, optional eye-corner
 landmarks, gaze class, and optional subject id. Rows become Samples; Samples
 become one EyePatches per eye, an (N, h, w) array at the mode's patch size
-with a label vector, via the preprocess chain: each decoded image is cropped
-to its eye boxes, and a run of CROP_CHUNK images' crops is greyed and resized
-to the patch size in one stack per crop shape, so a colour frame is never
-greyed whole. The 7 -> 3 class mapping is run configuration, in `config`
-(RunConfig.map3).
+with a label vector: read_frame boxes each image once and reads the rows its
+eye boxes span, the band is cropped to those boxes, and a run of CROP_CHUNK
+images' crops is greyed and resized in one stack per crop shape, so a colour
+frame is never greyed whole. The 7 -> 3 class mapping is run configuration,
+in `config` (RunConfig.map3).
 """
 
 from __future__ import annotations
@@ -283,27 +283,26 @@ def eye_boxes(sample: Sample, mode: str, eye: str) -> tuple:
 
 
 def eye_pair(
-    img: np.ndarray, sample: Sample, mode: str, patch_hw: tuple[int, int], eye: str = "both",
+    img: np.ndarray, sample: Sample, boxes: tuple, patch_hw: tuple[int, int],
     top: int = 0, height: int | None = None,
 ) -> tuple:
-    """(left, right) patches of one decoded (H, W) or (H, W, 3) image: the
-    one-frame case of make_eye_pairs. Each eye box is cropped, and the crops
-    are greyed and resized to patch_hw as one stack (see _grey_resize). Luma is
-    per pixel, so this equals greying the whole frame first. img may be the
-    band of rows top.. of an image `height` rows tall that read_frame returns;
-    boxes are clamped to the whole image, as preprocess.crop does. An eye that
-    `eye` does not select is None and is not cropped. Crop errors name the image."""
-    crops = _crop_eyes(img, sample, mode, eye, top, height)
+    """(left, right) patches of one decoded (H, W) or (H, W, 3) image under
+    the (left, right) boxes from read_frame or eye_boxes: the one-frame case
+    of make_eye_pairs. The crops are greyed and resized to patch_hw as one
+    stack (see _grey_resize); luma is per pixel, so this equals greying the
+    whole frame first. img may be read_frame's band, rows top.. of an image
+    `height` rows tall; boxes are clamped to the whole image, as
+    preprocess.crop does. A None box gives None. Crop errors name the image."""
+    crops = _crop_eyes(img, sample, boxes, top, height)
     patches = iter(_grey_resize([c for c in crops if c is not None], patch_hw))
     return tuple(None if c is None else next(patches) for c in crops)
 
 
-def _crop_eyes(img, sample: Sample, mode: str, eye: str, top: int, height: int | None) -> list:
-    """The (left, right) crops of img under the sample's eye boxes, None for an
-    eye that `eye` does not select; errors name the image."""
+def _crop_eyes(img, sample: Sample, boxes: tuple, top: int, height: int | None) -> list:
+    """The crops of img under the (left, right) boxes, None for a None box;
+    errors name the image."""
     try:
-        return [None if box is None else preprocess.crop(img, box, top, height)
-                for box in eye_boxes(sample, mode, eye)]
+        return [None if box is None else preprocess.crop(img, box, top, height) for box in boxes]
     except ValueError as exc:
         raise ValueError(f"{sample.image_path}: {exc}") from None
 
@@ -329,25 +328,24 @@ def _grey_resize(crops: list[np.ndarray], patch_hw: tuple[int, int]) -> np.ndarr
 def extract_patch(
     img: np.ndarray, sample: Sample, side: str, mode: str, patch_hw: tuple[int, int]
 ) -> np.ndarray:
-    """Crop one eye and resize to patch_hw; the other eye is not cropped."""
-    return eye_pair(img, sample, mode, patch_hw, eye=side)[SIDES.index(side)]
+    """One eye's patch: its box alone from eye_boxes, cropped and resized to patch_hw."""
+    return eye_pair(img, sample, eye_boxes(sample, mode, side), patch_hw)[SIDES.index(side)]
 
 
-def read_frame(
-    sample: Sample, mode: str, image_root: str = "", eye: str = "both"
-) -> tuple[np.ndarray, int, int]:
-    """(band, top, height) of the sample's image, as read_pnm returns over the
-    rows its selected eye boxes span: only those rows are read. When the boxes
-    are bad, the whole image with top 0; cropping then reports the boxes after
-    the decode, so a bad image is still reported first."""
+def read_frame(sample: Sample, mode: str, image_root: str = "", eye: str = "both") -> tuple:
+    """(boxes, band, top, height): the sample's eye_boxes, computed once, and
+    read_pnm's band over the rows the selected boxes span: only those rows are
+    read. When the boxes are bad, a zero-row read checks the image first, so a
+    bad image is still reported before the boxes, whose error names the image."""
     path = os.path.join(image_root, sample.image_path)
     try:
-        boxes = [box for box in eye_boxes(sample, mode, eye) if box is not None]
-        rows = min(box.y for box in boxes), max(box.y + box.h for box in boxes)
-    except ValueError:
-        img = preprocess.read_pnm(path)
-        return img, 0, len(img)
-    return preprocess.read_pnm(path, rows)
+        boxes = eye_boxes(sample, mode, eye)
+    except ValueError as exc:
+        preprocess.read_pnm(path, (0, 0))
+        raise ValueError(f"{sample.image_path}: {exc}") from None
+    selected = [box for box in boxes if box is not None]
+    rows = min(box.y for box in selected), max(box.y + box.h for box in selected)
+    return (boxes, *preprocess.read_pnm(path, rows))
 
 
 def make_eye_pairs(
@@ -374,8 +372,8 @@ def make_eye_pairs(
         run = samples[start : start + CROP_CHUNK]
         crops = []
         for sample in run:
-            band, top, height = read_frame(sample, mode, image_root, eye)
-            crops += (c for c in _crop_eyes(band, sample, mode, eye, top, height) if c is not None)
+            boxes, band, top, height = read_frame(sample, mode, image_root, eye)
+            crops += (c for c in _crop_eyes(band, sample, boxes, top, height) if c is not None)
         # crops hold each sample's selected eyes in (left, right) order
         patches = _grey_resize(crops, hw).reshape(len(run), len(out), *hw)
         for k, pixels in enumerate(out):
@@ -398,4 +396,4 @@ def make_eye_patches(
 def patches_to_tensors(patches: EyePatches) -> list[tuple[np.ndarray, int]]:
     """(tensor, label) per patch, each tensor a (1, H, W) view of the
     normalized stack, byte-identical to preprocess.normalize of that patch."""
-    return list(zip(preprocess.normalize_stack(patches.pixels)[:, None], patches.labels.tolist()))
+    return list(zip(preprocess.normalize_stack(patches.pixels), patches.labels.tolist()))

@@ -123,15 +123,15 @@ BENCH_STAGES = ("decode", "crop_resize", "normalize", "forward_left", "forward_r
 
 
 def _run_stages(model_left, model_right, sample, mode, patch_hw, image_root) -> list[float]:
-    """One sample from its file through decode / crop+resize (read_frame and
-    eye_pair, make_eye_pairs' path for one frame) / normalize / two forwards /
-    fuse; returns the perf_counter stamps before, between and after the stages."""
+    """One sample through decode (read_frame: its eye boxes, once, and the band
+    they span) / crop+resize (eye_pair under those boxes; make_eye_pairs' path)
+    / normalize / two forwards / fuse; the perf_counter stamps around them."""
     t0 = time.perf_counter()
-    band, top, height = dataset.read_frame(sample, mode, image_root)
+    boxes, band, top, height = dataset.read_frame(sample, mode, image_root)
     t1 = time.perf_counter()
-    patches = dataset.eye_pair(band, sample, mode, patch_hw, top=top, height=height)
+    patches = dataset.eye_pair(band, sample, boxes, patch_hw, top, height)
     t2 = time.perf_counter()
-    x_l, x_r = preprocess.normalize_stack(np.stack(patches))[:, None]
+    x_l, x_r = preprocess.normalize_stack(np.stack(patches))
     t3 = time.perf_counter()
     score_l = model_left.forward(x_l)
     t4 = time.perf_counter()

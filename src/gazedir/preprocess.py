@@ -288,11 +288,11 @@ def crop(img: np.ndarray, box: Box, top: int = 0, height: int | None = None) -> 
 
 def normalize(img: np.ndarray) -> np.ndarray:
     """8-bit-scale patch -> float32 tensor (1, H, W) with values in [-0.5, 0.5]."""
-    return normalize_stack(img[None])
+    return normalize_stack(img[None])[0]
 
 
 def normalize_stack(stack: np.ndarray) -> np.ndarray:
-    """normalize over an (N, H, W) stack of patches: float32 (N, H, W)."""
+    """normalize over an (N, H, W) stack: the network input, float32 (N, 1, H, W)."""
     if stack.ndim != 3:
         raise ValueError("normalize expects a single-channel image")
-    return stack.astype(np.float32) / np.float32(255) - np.float32(0.5)
+    return (stack.astype(np.float32) / np.float32(255) - np.float32(0.5))[:, None]

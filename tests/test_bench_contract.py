@@ -97,7 +97,8 @@ def test_per_side_calls_match_the_pair_path(corpus, monkeypatch, mode, side):
     for sample in samples:
         gray = preprocess.to_grayscale(preprocess.read_pnm(os.path.join(root, sample.image_path)))
         one = dataset.extract_patch(gray, sample, side, mode, hw)
-        assert one.tobytes() == dataset.eye_pair(gray, sample, mode, hw)[k].tobytes()
+        boxes = dataset.eye_boxes(sample, mode, "both")
+        assert one.tobytes() == dataset.eye_pair(gray, sample, boxes, hw)[k].tobytes()
 
 
 def test_augmentation_runs_stacked_kernels(monkeypatch):

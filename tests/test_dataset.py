@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -415,15 +416,20 @@ class TestMakeEyeSamples:
             eye_tensors(samples, "left", "cnn", image_root=root)
 
 
-def _eye_pair(root, sample, mode, eye):
-    img = preprocess.read_pnm(f"{root}/{sample.image_path}")
-    return dataset.eye_pair(img, sample, mode, (15, 25), eye)
+def boxed_eye_pair(img, sample, mode, patch_hw, eye):
+    """eye_pair under the sample's eye_boxes; a box error names the image, as
+    make_eye_pairs reports it."""
+    try:
+        boxes = dataset.eye_boxes(sample, mode, eye)
+    except ValueError as exc:
+        raise ValueError(f"{sample.image_path}: {exc}") from None
+    return dataset.eye_pair(img, sample, boxes, patch_hw)
 
 
 # every dataset entry point that takes a mode and an eye, as (root, sample, mode, eye)
 CHOICE_ENTRY_POINTS = {
     "eye_boxes": lambda root, sample, mode, eye: dataset.eye_boxes(sample, mode, eye),
-    "eye_pair": _eye_pair,
+    "read_frame": lambda root, sample, mode, eye: dataset.read_frame(sample, mode, root, eye),
     "make_eye_pairs": lambda root, sample, mode, eye: dataset.make_eye_pairs(
         [sample], mode, image_root=root, eye=eye),
 }
@@ -494,7 +500,7 @@ class TestColourInput:
 
         def patches(img):
             try:
-                pair = dataset.eye_pair(img, sample, mode, patch_hw, eye)
+                pair = boxed_eye_pair(img, sample, mode, patch_hw, eye)
             except ValueError as exc:  # a box off the frame, or coincident corners
                 return str(exc)
             return [None if p is None else p.tobytes() for p in pair]
@@ -550,7 +556,7 @@ class TestRowRead:
         path.write_bytes(blob)
         hw = dataset.default_patch_hw(mode)
         want = pair_or_error(
-            lambda: dataset.eye_pair(preprocess.read_pnm(path), sample, mode, hw, eye))
+            lambda: boxed_eye_pair(preprocess.read_pnm(path), sample, mode, hw, eye))
         got = pair_or_error(lambda: [
             None if p is None else p.pixels[0]
             for p in dataset.make_eye_pairs([sample], mode, str(tmp_path), eye=eye)])
@@ -567,6 +573,24 @@ class TestRowRead:
         with pytest.raises(ValueError) as exc:
             dataset.make_eye_pairs([sample], "roi", str(tmp_path), eye="left")
         assert str(exc.value) == f"frame.pgm: crop box {box} lies outside the 80x60 image"
+
+    def test_bad_boxes_allocate_no_frame(self, tmp_path):
+        """A sample whose boxes cannot be computed is checked by a zero-row
+        read, not a whole decode, and its error names the image; a bad image
+        is still reported first."""
+        preprocess.write_ppm(tmp_path / "vga.ppm", np.zeros((480, 640, 3), np.uint8))
+        sample = Sample("vga.ppm", Box(200, 100, 240, 240), EacClass.VD)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^vga\.ppm: ert mode needs eye-corner landmarks$"):
+                dataset.make_eye_pairs([sample], "ert", str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 480 * 640 * 3
+        (tmp_path / "vga.ppm").write_bytes(b"P6\n640 480\n255\n")
+        with pytest.raises(ValueError, match=r"/vga\.ppm: raster truncated$"):
+            dataset.make_eye_pairs([sample], "ert", str(tmp_path))
 
 
 def write_pnm(path, img, maxval=255):
@@ -619,12 +643,14 @@ class TestCropRuns:
                   for s in samples for b in dataset.eye_boxes(s, mode, eye) if b is not None}
         thin = {"roi": (3, 3), "ert": (2, 3)}[mode]
         assert {thin, (*thin, 3)} <= shapes and len(shapes) >= 6
-        got = dataset.make_eye_pairs(samples, mode, str(tmp_path), eye=eye)
+        with mock.patch.object(dataset, "eye_boxes", wraps=dataset.eye_boxes) as spy:
+            got = dataset.make_eye_pairs(samples, mode, str(tmp_path), eye=eye)
+        assert spy.call_count == len(samples)  # once per sample, by read_frame
         for k, selected in enumerate(dataset.eye_selection(eye)):
             if not selected:
                 assert got[k] is None
                 continue
-            want = [dataset.eye_pair(preprocess.read_pnm(tmp_path / s.image_path), s, mode, hw, eye)[k]
+            want = [boxed_eye_pair(preprocess.read_pnm(tmp_path / s.image_path), s, mode, hw, eye)[k]
                     for s in samples]
             assert got[k].pixels.tobytes() == np.stack(want).tobytes()
             assert got[k].labels.tolist() == [int(s.eac) for s in samples]

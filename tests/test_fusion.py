@@ -3,6 +3,7 @@
 import json
 import os
 import time
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -412,8 +413,10 @@ class TestBenchLatency:
         monkeypatch.setattr(preprocess, "read_pnm", spy)
         ml = nn.build_gaze_net(*dataset.default_patch_hw(mode), 7, seed=0)
         mr = nn.build_gaze_net(*dataset.default_patch_hw(mode), 7, seed=1)
-        fusion.bench_latency(ml, mr, samples[:3], 2, mode, root)
+        with mock.patch.object(dataset, "eye_boxes", wraps=dataset.eye_boxes) as boxes_spy:
+            fusion.bench_latency(ml, mr, samples[:3], 2, mode, root)
         timed = [samples[0], samples[1], *samples[:3]]  # two warmup passes, then each sample
+        assert boxes_spy.call_count == len(timed)  # each frame is boxed once
 
         def span(s):  # the rows both eye boxes span
             boxes = dataset.eye_boxes(s, mode, "both")
