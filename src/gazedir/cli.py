@@ -179,8 +179,8 @@ def cmd_predict(args) -> int:
     sample = dataset.Sample(args.image, face, EacClass.VD, landmarks)
     pairs = dataset.make_eye_pairs([sample], cfg.mode, split="test", eye=eye)
     model_left, model_right = _load_models(cfg, eye)
-    (x_left, x_right, _), = _triples(pairs)
-    score = fusion.score_pair(model_left, model_right, [x_left], [x_right])[0]
+    x_left, x_right = (None if p is None else preprocess.normalize_stack(p.pixels) for p in pairs)
+    score = fusion.score_pair(model_left, model_right, x_left, x_right)[0]
     label = fusion.predict_class(score)
     out = {
         "class": dataset.class_names(cfg.classes)[label],

@@ -3,11 +3,10 @@
 A manifest is a CSV binding each image to its face box, optional eye-corner
 landmarks, gaze class, and optional subject id. Rows become Samples; Samples
 become one EyePatches per eye, an (N, h, w) array at the mode's patch size
-with a label vector: read_frame boxes each image once and reads the rows its
-eye boxes span, the band is cropped to those boxes, and a run of CROP_CHUNK
-images' crops is greyed and resized in one stack per crop shape, so a colour
-frame is never greyed whole. The 7 -> 3 class mapping is run configuration,
-in `config` (RunConfig.map3).
+with a label vector: read_frame crops each image's eye boxes from a band of
+the rows they span, and grey_resize greys and resizes a run of CROP_CHUNK
+images' crops in one stack per crop shape, so a colour frame is never greyed
+whole. The 7 -> 3 class mapping is run configuration, in `config` (RunConfig.map3).
 """
 
 from __future__ import annotations
@@ -282,36 +281,21 @@ def eye_boxes(sample: Sample, mode: str, eye: str) -> tuple:
     )
 
 
-def eye_pair(
-    img: np.ndarray, sample: Sample, boxes: tuple, patch_hw: tuple[int, int],
-    top: int = 0, height: int | None = None,
-) -> tuple:
-    """(left, right) patches of one decoded (H, W) or (H, W, 3) image under
-    the (left, right) boxes from read_frame or eye_boxes: the one-frame case
-    of make_eye_pairs. The crops are greyed and resized to patch_hw as one
-    stack (see _grey_resize); luma is per pixel, so this equals greying the
-    whole frame first. img may be read_frame's band, rows top.. of an image
-    `height` rows tall; boxes are clamped to the whole image, as
-    preprocess.crop does. A None box gives None. Crop errors name the image."""
-    crops = _crop_eyes(img, sample, boxes, top, height)
-    patches = iter(_grey_resize([c for c in crops if c is not None], patch_hw))
-    return tuple(None if c is None else next(patches) for c in crops)
-
-
-def _crop_eyes(img, sample: Sample, boxes: tuple, top: int, height: int | None) -> list:
+def _crop_eyes(img, sample: Sample, boxes: tuple, top: int = 0, height: int | None = None) -> tuple:
     """The crops of img under the (left, right) boxes, None for a None box;
-    errors name the image."""
+    img may be a band, as preprocess.crop takes it. Errors name the image."""
     try:
-        return [None if box is None else preprocess.crop(img, box, top, height) for box in boxes]
+        return tuple(None if box is None else preprocess.crop(img, box, top, height)
+                     for box in boxes)
     except ValueError as exc:
         raise ValueError(f"{sample.image_path}: {exc}") from None
 
 
-def _grey_resize(crops: list[np.ndarray], patch_hw: tuple[int, int]) -> np.ndarray:
-    """float32 (len(crops), h, w) patches of the crops, in order. Each group of
-    same-shape crops is stacked, greyed with one to_grayscale call if colour
-    (a 3-D crop, so never grouped with grey ones) and resized with one
-    resize_bilinear call; both work image by image."""
+def grey_resize(crops, patch_hw: tuple[int, int]) -> np.ndarray:
+    """float32 (len(crops), h, w) patches of the crops, in order: one
+    to_grayscale call (colour crops are 3-D, never grouped with grey ones) and
+    one resize_bilinear call per crop shape. Both work image by image, so this
+    equals greying the whole frame first and resizing each crop alone."""
     h, w = patch_hw
     groups = collections.defaultdict(list)
     for i, c in enumerate(crops):
@@ -328,15 +312,16 @@ def _grey_resize(crops: list[np.ndarray], patch_hw: tuple[int, int]) -> np.ndarr
 def extract_patch(
     img: np.ndarray, sample: Sample, side: str, mode: str, patch_hw: tuple[int, int]
 ) -> np.ndarray:
-    """One eye's patch: its box alone from eye_boxes, cropped and resized to patch_hw."""
-    return eye_pair(img, sample, eye_boxes(sample, mode, side), patch_hw)[SIDES.index(side)]
+    """One eye's patch of a whole image: its eye_boxes box alone, cropped and grey_resized."""
+    crop = _crop_eyes(img, sample, eye_boxes(sample, mode, side))[SIDES.index(side)]
+    return grey_resize([crop], patch_hw)[0]
 
 
 def read_frame(sample: Sample, mode: str, image_root: str = "", eye: str = "both") -> tuple:
-    """(boxes, band, top, height): the sample's eye_boxes, computed once, and
-    read_pnm's band over the rows the selected boxes span: only those rows are
-    read. When the boxes are bad, a zero-row read checks the image first, so a
-    bad image is still reported before the boxes, whose error names the image."""
+    """The sample's (left, right) eye crops, None for an eye `eye` does not
+    select: its eye_boxes, computed once, cut from read_pnm's band of the rows
+    they span. When the boxes are bad, a zero-row read checks the image first,
+    so a bad image is still reported before them. Errors name the image."""
     path = os.path.join(image_root, sample.image_path)
     try:
         boxes = eye_boxes(sample, mode, eye)
@@ -345,7 +330,8 @@ def read_frame(sample: Sample, mode: str, image_root: str = "", eye: str = "both
         raise ValueError(f"{sample.image_path}: {exc}") from None
     selected = [box for box in boxes if box is not None]
     rows = min(box.y for box in selected), max(box.y + box.h for box in selected)
-    return (boxes, *preprocess.read_pnm(path, rows))
+    band, top, height = preprocess.read_pnm(path, rows)
+    return _crop_eyes(band, sample, boxes, top, height)
 
 
 def make_eye_pairs(
@@ -355,9 +341,9 @@ def make_eye_pairs(
     """(left, right) EyePatches of the samples at the mode's patch size,
     tagged with their split, one row per sample; each image is decoded once.
     An eye that `eye` does not select is None. Only the rows the selected eye
-    boxes span are read from the file, and only the crops are kept: the
-    samples are cropped in runs of CROP_CHUNK, and each run's crops are greyed
-    and resized in one stack per crop shape, equal to eye_pair per sample.
+    boxes span are read from the file, and only the crops are kept: runs of
+    CROP_CHUNK samples go through read_frame, then one grey_resize per run,
+    equal to read_frame and grey_resize per sample.
     Errors name the image; the first bad sample in order is the one reported.
 
     labels defaults to each sample's 7-class index; pass explicit labels for
@@ -370,12 +356,9 @@ def make_eye_pairs(
     out = [np.empty((len(samples), *hw), np.float32) for w in wanted if w]
     for start in range(0, len(samples), CROP_CHUNK):
         run = samples[start : start + CROP_CHUNK]
-        crops = []
-        for sample in run:
-            boxes, band, top, height = read_frame(sample, mode, image_root, eye)
-            crops += (c for c in _crop_eyes(band, sample, boxes, top, height) if c is not None)
-        # crops hold each sample's selected eyes in (left, right) order
-        patches = _grey_resize(crops, hw).reshape(len(run), len(out), *hw)
+        # each sample's selected eyes, in (left, right) order
+        crops = [c for s in run for c in read_frame(s, mode, image_root, eye) if c is not None]
+        patches = grey_resize(crops, hw).reshape(len(run), len(out), *hw)
         for k, pixels in enumerate(out):
             pixels[start : start + len(run)] = patches[:, k]
     eyes = iter(EyePatches(pixels, ys, split) for pixels in out)

@@ -76,11 +76,11 @@ EVAL_CHUNK = 4
 
 
 def score_pair(model_left, model_right, x_left, x_right) -> np.ndarray:
-    """Scores B eye pairs as (B, n_classes); each eye is B (1, H, W) views of
-    its normalized (N, 1, H, W) stack, as evaluate's triples hold them, or a
-    (B, 1, H, W) array, stacked here. The fused mean of both networks'
-    softmax, or one network's softmax when the other model is None (its
-    input is not read). Each row is byte-identical to scoring that pair
+    """Scores B eye pairs as (B, n_classes); each eye is a (B, 1, H, W) array,
+    as predict passes it, or B (1, H, W) views of its normalized stack, as
+    evaluate's triples hold them, stacked here. The fused mean of both
+    networks' softmax, or one network's softmax when the other model is None
+    (its input is not read). Each row is byte-identical to scoring that pair
     alone."""
     scores = [model.forward_batch(np.stack(x)) for model, x
               in ((model_left, x_left), (model_right, x_right)) if model is not None]
@@ -123,15 +123,15 @@ BENCH_STAGES = ("decode", "crop_resize", "normalize", "forward_left", "forward_r
 
 
 def _run_stages(model_left, model_right, sample, mode, patch_hw, image_root) -> list[float]:
-    """One sample through decode (read_frame: its eye boxes, once, and the band
-    they span) / crop+resize (eye_pair under those boxes; make_eye_pairs' path)
+    """One sample through decode (read_frame: the eye crops from the rows
+    their boxes span) / crop_resize (grey_resize; make_eye_pairs' two calls)
     / normalize / two forwards / fuse; the perf_counter stamps around them."""
     t0 = time.perf_counter()
-    boxes, band, top, height = dataset.read_frame(sample, mode, image_root)
+    crops = dataset.read_frame(sample, mode, image_root)
     t1 = time.perf_counter()
-    patches = dataset.eye_pair(band, sample, boxes, patch_hw, top, height)
+    patches = dataset.grey_resize(crops, patch_hw)
     t2 = time.perf_counter()
-    x_l, x_r = preprocess.normalize_stack(np.stack(patches))
+    x_l, x_r = preprocess.normalize_stack(patches)
     t3 = time.perf_counter()
     score_l = model_left.forward(x_l)
     t4 = time.perf_counter()

@@ -416,14 +416,25 @@ class TestMakeEyeSamples:
             eye_tensors(samples, "left", "cnn", image_root=root)
 
 
-def boxed_eye_pair(img, sample, mode, patch_hw, eye):
-    """eye_pair under the sample's eye_boxes; a box error names the image, as
+def whole_crops(img, sample, mode, eye):
+    """preprocess.crop of a whole decoded image under the sample's eye_boxes,
+    None for an unselected eye; a box or crop error names the image, as
     make_eye_pairs reports it."""
     try:
-        boxes = dataset.eye_boxes(sample, mode, eye)
+        return [None if b is None else preprocess.crop(img, b)
+                for b in dataset.eye_boxes(sample, mode, eye)]
     except ValueError as exc:
         raise ValueError(f"{sample.image_path}: {exc}") from None
-    return dataset.eye_pair(img, sample, boxes, patch_hw)
+
+
+def reference_pair(img, sample, mode, patch_hw, eye):
+    """The (left, right) patches of a whole decoded image, built apart from
+    the crop path under test: the frame greyed whole, each eye cropped under
+    eye_boxes and resized alone. Errors are those of whole_crops."""
+    grey = preprocess.to_grayscale(img[None])[0] if img.ndim == 3 else img
+    h, w = patch_hw
+    return [None if c is None else preprocess.resize_bilinear(c[None], w, h)[0]
+            for c in whole_crops(grey, sample, mode, eye)]
 
 
 # every dataset entry point that takes a mode and an eye, as (root, sample, mode, eye)
@@ -488,7 +499,7 @@ def colour_frames(draw):
 
 
 class TestColourInput:
-    """eye_pair greys each eye crop, never the whole frame. Luma is per
+    """grey_resize greys each eye crop, never the whole frame. Luma is per
     pixel, so the patches equal those of greying the frame first."""
 
     @settings(max_examples=400, deadline=None)
@@ -497,27 +508,21 @@ class TestColourInput:
            patch_hw=st.tuples(st.integers(1, 8), st.integers(1, 8)))
     def test_colour_equals_grey_then_crop(self, frame, mode, eye, patch_hw):
         rgb, sample = frame
-
-        def patches(img):
-            try:
-                pair = boxed_eye_pair(img, sample, mode, patch_hw, eye)
-            except ValueError as exc:  # a box off the frame, or coincident corners
-                return str(exc)
-            return [None if p is None else p.tobytes() for p in pair]
-
-        grey_first = patches(preprocess.to_grayscale(rgb[None])[0])
+        grey_first = pair_or_error(lambda: reference_pair(rgb, sample, mode, patch_hw, eye))
+        try:
+            crops = [c for c in whole_crops(rgb, sample, mode, eye) if c is not None]
+        except ValueError as exc:  # a box off the frame, or coincident corners
+            assert str(exc) == grey_first
+            return
         with mock.patch.object(preprocess, "to_grayscale", wraps=preprocess.to_grayscale) as spy:
-            crop_first = patches(rgb)
-        assert crop_first == grey_first
-        if isinstance(crop_first, list):
-            assert [p is None for p in crop_first] == [not s for s in dataset.eye_selection(eye)]
-            # one call per crop shape, each on a stack of colour crops of that
-            # shape, and the pixels greyed are those of the selected crops
-            boxes = [b for b in dataset.eye_boxes(sample, mode, eye) if b is not None]
-            shapes = [preprocess.crop(rgb, b).shape for b in boxes]
-            stacks = [c.args[0].shape for c in spy.call_args_list]
-            assert sorted(s[1:] for s in stacks) == sorted(set(shapes))
-            assert sum(math.prod(s[:3]) for s in stacks) == sum(h * w for h, w, _ in shapes)
+            crop_first = dataset.grey_resize(crops, patch_hw)
+        assert [p.tobytes() for p in crop_first] == [p for p in grey_first if p is not None]
+        # one call per crop shape, each on a stack of colour crops of that
+        # shape, and the pixels greyed are those of the selected crops
+        shapes = [c.shape for c in crops]
+        stacks = [c.args[0].shape for c in spy.call_args_list]
+        assert sorted(s[1:] for s in stacks) == sorted(set(shapes))
+        assert sum(math.prod(s[:3]) for s in stacks) == sum(h * w for h, w, _ in shapes)
 
 
 @st.composite
@@ -532,17 +537,17 @@ def pnm_frames(draw):
     return head.encode("ascii") + img.tobytes(), sample
 
 
-def pair_or_error(make):
+def pair_or_error(make, bytes_of=lambda p: p.tobytes()):
     try:
-        return [None if p is None else p.tobytes() for p in make()]
+        return [None if p is None else bytes_of(p) for p in make()]
     except ValueError as exc:
         return str(exc)
 
 
 class TestRowRead:
-    """make_eye_pairs reads only the rows its eye boxes span; its patches and
-    its errors are those of eye_pair on the whole decoded frame, which name
-    the image."""
+    """read_frame reads only the rows its eye boxes span; its crops, the
+    patches of make_eye_pairs and their errors are those of a whole decode,
+    and the errors name the image."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -556,12 +561,21 @@ class TestRowRead:
         path.write_bytes(blob)
         hw = dataset.default_patch_hw(mode)
         want = pair_or_error(
-            lambda: boxed_eye_pair(preprocess.read_pnm(path), sample, mode, hw, eye))
+            lambda: reference_pair(preprocess.read_pnm(path), sample, mode, hw, eye))
         got = pair_or_error(lambda: [
             None if p is None else p.pixels[0]
             for p in dataset.make_eye_pairs([sample], mode, str(tmp_path), eye=eye)])
         assert isinstance(want, list) or want.startswith("frame.pnm: ")
         assert got == want
+
+        def crop_bytes(c):
+            return c.shape, c.dtype, c.tobytes()
+        want_crops = pair_or_error(
+            lambda: whole_crops(preprocess.read_pnm(path), sample, mode, eye), crop_bytes)
+        got_crops = pair_or_error(
+            lambda: dataset.read_frame(sample, mode, str(tmp_path), eye), crop_bytes)
+        assert isinstance(want_crops, list) == isinstance(want, list)
+        assert got_crops == want_crops
 
     @pytest.mark.parametrize("face_y", [-200, 30, 200])  # above, across, below
     @pytest.mark.parametrize("face_x", [-200, 200])      # left, right
@@ -632,7 +646,7 @@ CHUNK = dataset.CROP_CHUNK
 class TestCropRuns:
     """make_eye_pairs crops runs of CROP_CHUNK frames and greys and resizes
     each run's crops in one stack per crop shape; its patches and errors are
-    those of eye_pair on each whole decoded frame, across a run boundary."""
+    those of each whole decoded frame, across a run boundary."""
 
     @pytest.mark.parametrize("mode", list(dataset.PATCH_HW))
     @pytest.mark.parametrize("eye", dataset.EYES)
@@ -650,7 +664,7 @@ class TestCropRuns:
             if not selected:
                 assert got[k] is None
                 continue
-            want = [boxed_eye_pair(preprocess.read_pnm(tmp_path / s.image_path), s, mode, hw, eye)[k]
+            want = [reference_pair(preprocess.read_pnm(tmp_path / s.image_path), s, mode, hw, eye)[k]
                     for s in samples]
             assert got[k].pixels.tobytes() == np.stack(want).tobytes()
             assert got[k].labels.tolist() == [int(s.eac) for s in samples]

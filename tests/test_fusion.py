@@ -411,12 +411,21 @@ class TestBenchLatency:
             return read_pnm(path, rows)
 
         monkeypatch.setattr(preprocess, "read_pnm", spy)
+        resized = []  # (crops, patches) per grey_resize call
+        grey_resize = dataset.grey_resize
+
+        def resize_spy(crops, patch_hw):
+            resized.append((crops, grey_resize(crops, patch_hw)))
+            return resized[-1][1]
+
+        monkeypatch.setattr(dataset, "grey_resize", resize_spy)
         ml = nn.build_gaze_net(*dataset.default_patch_hw(mode), 7, seed=0)
         mr = nn.build_gaze_net(*dataset.default_patch_hw(mode), 7, seed=1)
         with mock.patch.object(dataset, "eye_boxes", wraps=dataset.eye_boxes) as boxes_spy:
             fusion.bench_latency(ml, mr, samples[:3], 2, mode, root)
         timed = [samples[0], samples[1], *samples[:3]]  # two warmup passes, then each sample
         assert boxes_spy.call_count == len(timed)  # each frame is boxed once
+        monkeypatch.setattr(dataset, "grey_resize", grey_resize)
 
         def span(s):  # the rows both eye boxes span
             boxes = dataset.eye_boxes(s, mode, "both")
@@ -427,6 +436,16 @@ class TestBenchLatency:
         bench_reads, reads[:] = list(reads), []
         dataset.make_eye_pairs(samples[:3], mode, root)
         assert reads == bench_reads[2:]
+
+        # crop_resize is one grey_resize of the frame's two crops, and its
+        # patches are make_eye_pairs' for that frame
+        assert len(resized) == len(timed)
+        for s, (crops, patches) in zip(timed, resized):
+            whole = read_pnm(os.path.join(root, s.image_path))
+            want = [preprocess.crop(whole, b) for b in dataset.eye_boxes(s, mode, "both")]
+            assert [(c.shape, c.tobytes()) for c in crops] == [(c.shape, c.tobytes()) for c in want]
+            pair = dataset.make_eye_pairs([s], mode, root)
+            assert patches.tobytes() == np.stack([p.pixels[0] for p in pair]).tobytes()
 
     def test_ert_crops_do_not_fit_42x50_models(self, corpus):
         """The patch size is the mode's, whatever size the models take."""
