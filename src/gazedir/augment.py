@@ -1,10 +1,10 @@
 """Training-set expansion: rotations, Gaussian blur, and rescaling.
 
-Each transform maps an (N, h, w) stack of single-channel patches to a stack
-of the same shape and dtype, patch by patch: every step is elementwise or a
+Each transform maps an (N, h, w) stack of single-channel patches to a float32
+stack of the same shape, patch by patch: every step is elementwise or a
 gather, so a stack's result is byte-identical to transforming its patches one
-at a time. At their identity parameters they return finite uint8 or float32
-pixels unchanged (-0.0 may read +0.0). expand runs them on one eye's
+at a time. At their identity parameters they return finite float32 pixels
+unchanged (-0.0 may read +0.0). expand runs them on one eye's float32
 EyePatches, never on the test split.
 """
 
@@ -39,12 +39,6 @@ class AugmentPolicy:
             raise ValueError("scale factors must be > 0")
 
 
-def _restore_dtype(out: np.ndarray, like: np.ndarray) -> np.ndarray:
-    if like.dtype == np.uint8:
-        return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
-    return out.astype(like.dtype)
-
-
 def rotate(stack: np.ndarray, degrees: float) -> np.ndarray:
     """Rotation of each patch about its center, inverse-mapped with bilinear
     sampling. Sampling coordinates are clamped to the patch, so out-of-source
@@ -60,7 +54,7 @@ def rotate(stack: np.ndarray, degrees: float) -> np.ndarray:
     v = (np.arange(h) - cy)[:, None]
     xs = np.clip(cx + u * cos_t - v * sin_t, 0, w - 1)
     ys = np.clip(cy + u * sin_t + v * cos_t, 0, h - 1)
-    return _restore_dtype(preprocess.bilinear_sample(stack, xs, ys), stack)
+    return preprocess.bilinear_sample(stack, xs, ys).astype(np.float32)
 
 
 def gaussian_blur(stack: np.ndarray, sigma: float) -> np.ndarray:
@@ -70,14 +64,14 @@ def gaussian_blur(stack: np.ndarray, sigma: float) -> np.ndarray:
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if sigma < 1e-6:
-        return stack.copy()
+        return stack.astype(np.float32)
     radius = math.ceil(3 * sigma)
     taps = np.exp(-np.arange(-radius, radius + 1) ** 2 / (2 * sigma * sigma))
     taps /= taps.sum()
     out = stack.astype(np.float64, copy=False)
     for axis in (2, 1):
         out = _correlate_edge(out, taps, axis)
-    return _restore_dtype(out, stack)
+    return out.astype(np.float32)
 
 
 def _correlate_edge(x: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
@@ -130,13 +124,11 @@ def rescale(stack: np.ndarray, factor: float) -> np.ndarray:
         rw = max(int(math.floor(w * factor + 0.5)), w)
         xs = preprocess.resize_grid(w, rw, (rw - w) // 2, w)
         ys = preprocess.resize_grid(h, rh, (rh - h) // 2, h)
-    # float32, as resize_bilinear returns, before the dtype is restored
-    out = preprocess.bilinear_sample(src, xs[None, :], ys[:, None]).astype(np.float32)
-    return _restore_dtype(out, stack)
+    return preprocess.bilinear_sample(src, xs[None, :], ys[:, None]).astype(np.float32)
 
 
 def expand(patches: EyePatches, policy: AugmentPolicy) -> EyePatches:
-    """Originals plus one variant per listed parameter, labels preserved.
+    """Originals plus one variant per listed parameter, float32, labels preserved.
 
     Output count is n * (1 + |rotations| + |sigmas| + |scales|), in input
     order, each original followed by its rotations, blurs and scales. The
@@ -151,7 +143,7 @@ def expand(patches: EyePatches, policy: AugmentPolicy) -> EyePatches:
         *((rescale, f) for f in policy.scale_factors),
     ]
     pixels = patches.pixels
-    out = np.empty((len(pixels), 1 + len(kernels), *pixels.shape[1:]), pixels.dtype)
+    out = np.empty((len(pixels), 1 + len(kernels), *pixels.shape[1:]), np.float32)
     for start in range(0, len(pixels), AUGMENT_CHUNK):
         stack = pixels[start : start + AUGMENT_CHUNK]
         np.stack([stack, *(kernel(stack, param) for kernel, param in kernels)], axis=1,

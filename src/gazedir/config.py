@@ -123,16 +123,8 @@ class RunConfig:
         if missing:
             raise ConfigError(f"[map3] missing entries: {', '.join(missing)}")
 
-    def to_ini_text(self) -> str:
-        """Canonical INI echo of the effective config; feeding it back
-        reproduces the run."""
-        return "\n".join(
-            f"[{section}]\n" + "".join(f"{key} = {token}\n" for key, token in keys.items())
-            for section, keys in _ini_sections(self.as_dict()).items()
-        )
-
     def config_hash(self) -> str:
-        return hashlib.sha256(self.to_ini_text().encode("utf-8")).hexdigest()[:16]
+        return hashlib.sha256(ini_text(self.as_dict()).encode("utf-8")).hexdigest()[:16]
 
     def as_dict(self) -> dict:
         """JSON-friendly echo of every effective field."""
@@ -142,17 +134,6 @@ class RunConfig:
         echo["map3"] = {c.name: "excluded" if self.map3[c] is None else self.map3[c].name
                         for c in EacClass}
         return echo
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        """Inverse of as_dict: rebuilds a config from a report's echo by
-        reading it as INI tokens, like a config file."""
-        parser = configparser.ConfigParser(interpolation=None)
-        parser.read_dict(_ini_sections(data))
-        cfg = cls()
-        _apply_file(cfg, parser, "config echo")
-        cfg.validate()
-        return cfg
 
 
 # (INI section, field name, parser of the INI token), in echo order
@@ -170,13 +151,17 @@ def _ini_token(value) -> str:
     return str(value)
 
 
-def _ini_sections(echo: dict) -> dict[str, dict[str, str]]:
-    """INI tokens by section, in echo order, from an as_dict-shaped echo."""
+def ini_text(echo: dict) -> str:
+    """The INI file of an as_dict echo, a report's "config" included;
+    load_config of it reproduces the run."""
     sections: dict[str, dict[str, str]] = {}
     for section, name, _ in _FIELDS:
         sections.setdefault(section, {})[name] = _ini_token(echo[name])
     sections["map3"] = {name.lower(): token.lower() for name, token in echo["map3"].items()}
-    return sections
+    return "\n".join(
+        f"[{section}]\n" + "".join(f"{key} = {token}\n" for key, token in keys.items())
+        for section, keys in sections.items()
+    )
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:

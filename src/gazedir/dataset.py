@@ -71,8 +71,8 @@ class SplitPair:
 
 @dataclass
 class EyePatches:
-    """One eye's patches of a run: pixels an (N, h, w) stack on the 0..255
-    scale (float32 from make_eye_pairs), labels the (N,) int class vector."""
+    """One eye's patches of a run: pixels a float32 (N, h, w) stack on the
+    0..255 scale, labels the (N,) int class vector."""
 
     pixels: np.ndarray
     labels: np.ndarray

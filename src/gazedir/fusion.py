@@ -146,8 +146,8 @@ def bench_latency(model_left, model_right, samples, warmup: int, mode: str, imag
     """Wall-clock per-stage timings in ms over all samples, after warmup iterations.
 
     Samples are read from image_root and cropped at the mode's patch size, as
-    make_eye_pairs does; strictly single-threaded. Each sample gives exactly
-    one timing; warmup passes cycle over the samples untimed. Returns
+    make_eye_pairs does. Python runs one thread; BLAS runs at its own thread
+    setting. One timing per sample; warmup passes cycle over them untimed. Returns
     {"stages": {name: stats}, "end_to_end": stats, "fps", "n_frames", "warmup"}
     with stats {"mean_ms", "p50_ms", "p95_ms"}.
     """

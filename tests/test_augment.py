@@ -78,9 +78,10 @@ finite_patches = st.one_of(
 
 
 def unchanged(out, img):
-    """Same dtype and values. For finite pixels that is bit for bit, except
-    that a -0.0 pixel may come back as +0.0, as the lerp adds a zero tap."""
-    return out.dtype == img.dtype and np.array_equal(out, img)
+    """float32 out, with the same values. For finite float32 pixels that is bit
+    for bit, except that a -0.0 pixel may come back as +0.0, as the lerp adds
+    a zero tap."""
+    return out.dtype == np.float32 and np.array_equal(out, img)
 
 
 # one row or one column, with float32 values near the top of the range
@@ -136,16 +137,14 @@ class TestGaussianBlur:
 
 def rescale_up_by_full_resize(img, factor):
     """Reference for factor >= 1: resize the whole patch up to
-    round(h*f) x round(w*f), cut its h x w centre, and restore the dtype."""
+    round(h*f) x round(w*f) and cut its h x w centre, float32 as the resize
+    returns."""
     h, w = img.shape
     rh = max(int(math.floor(h * factor + 0.5)), h)
     rw = max(int(math.floor(w * factor + 0.5)), w)
     big = preprocess.resize_bilinear(img[None], out_w=rw, out_h=rh)[0]
     y0, x0 = (rh - h) // 2, (rw - w) // 2
-    out = big[y0 : y0 + h, x0 : x0 + w]
-    if img.dtype == np.uint8:
-        return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
-    return out.astype(img.dtype)
+    return big[y0 : y0 + h, x0 : x0 + w]
 
 
 class TestRescale:
@@ -162,7 +161,7 @@ class TestRescale:
         # the full resize would be 1.5e6 x 2.5e6 pixels
         img = np.random.default_rng(10).integers(0, 256, size=(15, 25)).astype(np.uint8)
         out = rescale(img, 1e5)
-        assert out.shape == img.shape and out.dtype == np.uint8
+        assert out.shape == img.shape and out.dtype == np.float32
 
     def test_factor_one_is_identity(self):
         img = np.random.default_rng(6).integers(0, 256, size=(8, 8)).astype(np.uint8)
@@ -281,7 +280,7 @@ class TestExpand:
 
 
 # the per-patch transforms and expand body that preceded the stacked kernels,
-# kept as the byte-for-byte oracle of expand
+# kept as the byte-for-byte oracle of expand; every patch comes out float32
 # --------------------------------------------------------------------------
 
 def per_patch_rotate(img, degrees):
@@ -293,7 +292,7 @@ def per_patch_rotate(img, degrees):
     v = (np.arange(h) - cy)[:, None]
     xs = np.clip(cx + u * cos_t - v * sin_t, 0, w - 1)
     ys = np.clip(cy + u * sin_t + v * cos_t, 0, h - 1)
-    return augment._restore_dtype(per_patch_sample(img, xs, ys), img)
+    return per_patch_sample(img, xs, ys).astype(np.float32)
 
 
 def per_patch_sample(src, xs, ys):
@@ -311,7 +310,7 @@ def per_patch_sample(src, xs, ys):
 
 def per_patch_blur(img, sigma):
     if sigma < 1e-6:
-        return img.copy()
+        return img.astype(np.float32)
     radius = math.ceil(3 * sigma)
     taps = np.exp(-np.arange(-radius, radius + 1) ** 2 / (2 * sigma * sigma))
     taps /= taps.sum()
@@ -327,7 +326,7 @@ def per_patch_blur(img, sigma):
             else:
                 acc += tap * padded[k : k + img.shape[0], :]
         out = acc
-    return augment._restore_dtype(out, img)
+    return out.astype(np.float32)
 
 
 def per_patch_resize(img, out_w, out_h):
@@ -353,13 +352,13 @@ def per_patch_rescale(img, factor):
         xs = np.clip((np.arange(x0, x0 + w) + 0.5) * (w / rw) - 0.5, 0, w - 1)
         ys = np.clip((np.arange(y0, y0 + h) + 0.5) * (h / rh) - 0.5, 0, h - 1)
         out = per_patch_sample(img, xs[None, :], ys[:, None]).astype(np.float32)
-    return augment._restore_dtype(out, img)
+    return out
 
 
 def per_patch_expand(patches, policy):
     out = []
     for pixels in patches.pixels:
-        out.append(pixels)
+        out.append(pixels.astype(np.float32))
         out.extend(per_patch_rotate(pixels, deg) for deg in policy.rotation_degrees)
         out.extend(per_patch_blur(pixels, sigma) for sigma in policy.blur_sigmas)
         out.extend(per_patch_rescale(pixels, f) for f in policy.scale_factors)

@@ -14,7 +14,7 @@ import pytest
 
 from gazedir import augment, cli, config, dataset, nn, preprocess, synth
 from gazedir.augment import AugmentPolicy
-from gazedir.config import ConfigError, RunConfig, load_config
+from gazedir.config import ConfigError, RunConfig, ini_text, load_config
 
 
 def run(argv):
@@ -135,14 +135,14 @@ class TestConfig:
     def test_ini_echo_reproduces_config(self, tmp_path):
         cfg = load_config(None, {"mode": "roi", "seed": 11, "manifest": "m.csv"})
         path = tmp_path / "echo.ini"
-        path.write_text(cfg.to_ini_text())
+        path.write_text(ini_text(cfg.as_dict()))
         again = load_config(path)
-        assert again.to_ini_text() == cfg.to_ini_text()
+        assert ini_text(again.as_dict()) == ini_text(cfg.as_dict())
         assert again.config_hash() == cfg.config_hash()
 
     def test_unset_path_echo_round_trips_to_unset(self, tmp_path, capsys):
         path = tmp_path / "echo.ini"
-        path.write_text(load_config(None, {}).to_ini_text())
+        path.write_text(ini_text(load_config(None, {}).as_dict()))
         assert load_config(path).manifest is None
         assert run(["train", "--config", str(path)]) == 1
         assert "no manifest configured" in _single_error_line(capsys.readouterr().err)
@@ -150,17 +150,17 @@ class TestConfig:
     def test_empty_image_root_echo_round_trips(self, tmp_path):
         cfg = load_config(None, {"manifest": "d/m.csv", "image_root": ""})
         path = tmp_path / "echo.ini"
-        path.write_text(cfg.to_ini_text())
+        path.write_text(ini_text(cfg.as_dict()))
         assert load_config(path).resolved_image_root() == ""
-        assert RunConfig.from_dict(cfg.as_dict()).resolved_image_root() == ""
+        assert ini_text(load_config(path).as_dict()) == ini_text(cfg.as_dict())
 
     def test_percent_in_path_round_trips(self, tmp_path):
         cfg = load_config(None, {"manifest": "d/100%/m.csv", "model_dir": "m%(x)s"})
         path = tmp_path / "echo.ini"
-        path.write_text(cfg.to_ini_text())
+        path.write_text(ini_text(cfg.as_dict()))
         again = load_config(path)
         assert again.manifest == "d/100%/m.csv" and again.model_dir == "m%(x)s"
-        assert RunConfig.from_dict(cfg.as_dict()).to_ini_text() == cfg.to_ini_text()
+        assert ini_text(again.as_dict()) == ini_text(cfg.as_dict())
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
     def test_non_finite_lr_rejected(self, lr):
@@ -302,9 +302,8 @@ class TestConfig:
         ]
         assert run(args) == 0
         first = (reports / "metrics.json").read_bytes()
-        echoed = RunConfig.from_dict(json.loads(first)["config"])
         ini = tmp_path / "echo.ini"
-        ini.write_text(echoed.to_ini_text())
+        ini.write_text(ini_text(json.loads(first)["config"]))
         assert run(["eval", "--config", str(ini),
                     "--report-dir", str(reports)]) == 0
         assert (reports / "metrics.json").read_bytes() == first
@@ -321,7 +320,9 @@ class TestConfig:
         ]) == 0
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["config"]["lr"] == 0.0123456789
-        assert RunConfig.from_dict(metrics["config"]).config_hash() == metrics["config_hash"]
+        echo = tmp_path / "echo.ini"
+        echo.write_text(ini_text(metrics["config"]))
+        assert load_config(echo).config_hash() == metrics["config_hash"]
 
 
 class TestTrainCommand:
@@ -930,6 +931,17 @@ class TestRuntimeFailures:
         models = _copy_models(trained, tmp_path / "models")
         model = nn.load_model(models / cli.MODEL_LEFT)
         model.layers[0].weights[0, 0, 0, 0] = np.nan
+        nn.save_model(model, models / cli.MODEL_LEFT)
+        assert _predict_ert(corpus, models) == 1
+        assert "non-finite" in _single_error_line(capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_model_exit_1_without_warnings(self, trained, corpus, tmp_path, capsys):
+        """Weights that overflow the forward give the one non-finite error,
+        not a numpy warning per overflowing op before it."""
+        models = _copy_models(trained, tmp_path / "models")
+        model = nn.load_model(models / cli.MODEL_LEFT)
+        model.layers[0].weights[:] = np.float32(3e38)
         nn.save_model(model, models / cli.MODEL_LEFT)
         assert _predict_ert(corpus, models) == 1
         assert "non-finite" in _single_error_line(capsys.readouterr().err)

@@ -408,9 +408,10 @@ def reference_resize_bilinear(img, out_w, out_h):
 
 
 def reference_rotate(img, degrees):
-    """The inverse-mapped rotation that preceded preprocess.bilinear_sample."""
+    """The inverse-mapped rotation that preceded preprocess.bilinear_sample,
+    float32 out as augment.rotate returns."""
     if degrees == 0:
-        return img.copy()
+        return img.astype(np.float32)
     h, w = img.shape
     src = img.astype(np.float64, copy=False)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
@@ -428,7 +429,7 @@ def reference_rotate(img, degrees):
     fy = ys - y0
     top = src[y0, x0] + (src[y0, x1] - src[y0, x0]) * fx
     bottom = src[y1, x0] + (src[y1, x1] - src[y1, x0]) * fx
-    return augment._restore_dtype(top + (bottom - top) * fy, img)
+    return (top + (bottom - top) * fy).astype(np.float32)
 
 
 def reference_fancy_index_sample(src, xs, ys):
