@@ -273,21 +273,30 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _error(prefix: str, message: str, code: int) -> int:
+    """Prints `prefix: message` as one stderr line and returns code. Characters
+    str.splitlines() breaks at, and other non-printables a message may quote
+    from an input file, are printed as escapes."""
+    line = "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
+    print(f"{prefix}: {line}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
+    # one BLAS thread: output bytes then do not depend on OPENBLAS_NUM_THREADS,
+    # and training's two batch lanes get a core each
+    nn.pin_blas_threads()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
     except (ConfigError, ValueError, FloatingPointError) as exc:
         # FloatingPointError: non-finite scores or a diverged training loss
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error("error", str(exc), 1)
     except MemoryError as exc:  # e.g. a config value that sizes an array beyond memory
-        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
-        return 1
+        return _error("error", "out of memory" + (f": {exc}" if str(exc) else ""), 1)
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
+        return _error("i/o error", str(exc), 2)
 
 
 if __name__ == "__main__":

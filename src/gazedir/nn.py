@@ -10,12 +10,19 @@ float64 in gradient-check mode. Every layer runs on stacked minibatches
 once, when a Model is built. `Model.forward_batch` is the one inference
 pass, and each of its rows is byte-identical to a forward of that sample
 alone, so scores do not depend on how samples are stacked.
+
+`Model.batch_loss_and_backward` runs the conv stack in two batch lanes, one
+per core when BLAS runs one thread (`blas_threads`; `cli.main` pins it), and
+the head and every batch sum once, so training bytes do not depend on it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,17 +203,20 @@ class Conv2D(_Params):
             cols = _conv_cols(x, kh, kw)
         return _conv_fwd(cols, self.weights, self.bias, x.shape[2:])
 
-    def backward(self, upstream, need_input_grad=True):
-        """Accumulates parameter grads; returns the input grad, or None when
-        need_input_grad is False."""
+    def backward(self, upstream, need_input_grad=True, products=None):
+        """Returns the input grad, or None when need_input_grad is False.
+
+        Each sample's weight-grad product cols @ upstream^T goes to
+        `products`, a (B, C*kh*kw, O) array when given: the batch sums are
+        then left to `accumulate`. Without it they are added here."""
         cached = self._input_shape
         _check_upstream(self, upstream, cached)
         b, out_ch, h, w = upstream.shape
-        self.grad_bias += upstream.sum(axis=(0, 2, 3))
+        deferred = products is not None
         up_mat = upstream.reshape(b, out_ch, h * w)
-        self.grad_weights += (
-            (up_mat @ self._cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.weights.shape)
-        )
+        products = np.matmul(self._cols, up_mat.transpose(0, 2, 1), out=products)
+        if not deferred:
+            self.accumulate(upstream, products)
         if not need_input_grad:
             return None
         # input gradient == same-padded correlation of upstream with kernels
@@ -215,6 +225,11 @@ class Conv2D(_Params):
         kh, kw = flipped.shape[2], flipped.shape[3]
         self._bwd_cols = _conv_cols(upstream, kh, kw, buf=self._bwd_cols)
         return _conv_fwd(self._bwd_cols, flipped, None, (h, w)).reshape(cached)
+
+    def accumulate(self, upstream, products) -> None:
+        """Adds the batch sums of a backward to the parameter grads, in batch order."""
+        self.grad_bias += upstream.sum(axis=(0, 2, 3))
+        self.grad_weights += products.sum(axis=0).T.reshape(self.weights.shape)
 
 
 class ReLU(_NoParams):
@@ -354,14 +369,18 @@ class Model:
     def __init__(self, input_shape: tuple[int, int, int], n_classes: int, layers: list):
         if len(layers) == 0 or layers[-1].kind != "SoftmaxCE":
             raise ValueError("model must end in a SoftmaxCE layer")
-        shape = tuple(input_shape)
+        shapes = [tuple(input_shape)]  # per-sample input of each layer, then the output
         for layer in layers:
-            shape = layer.output_shape(shape)
-        if shape != (n_classes,):
-            raise ValueError(f"model produces {shape} scores, not the {n_classes} classes")
-        self.input_shape = tuple(input_shape)
+            shapes.append(layer.output_shape(shapes[-1]))
+        if shapes[-1] != (n_classes,):
+            raise ValueError(f"model produces {shapes[-1]} scores, not the {n_classes} classes")
+        self.input_shape = shapes[0]
         self.n_classes = n_classes
         self.layers = layers
+        self._shapes = shapes
+        # the conv stack runs in lanes; the head from the first Dense on runs whole
+        self._head = next((i for i, l in enumerate(layers) if l.kind == "Dense"), len(layers) - 1)
+        self._lane1 = None  # lane 1's clones of the stack, built by its first two-lane step
 
     @property
     def dtype(self):
@@ -398,19 +417,47 @@ class Model:
 
     def batch_loss_and_backward(self, x4: np.ndarray, labels: np.ndarray) -> float:
         """Training pass over a stacked batch; accumulates summed parameter
-        grads and returns the summed loss."""
+        grads and returns the summed loss.
+
+        The conv stack (the layers before the first Dense) runs in two lanes,
+        the batch's two contiguous halves: lane 0 on the model's own layers
+        in the calling thread, lane 1 on clones sharing their parameter
+        arrays, on the worker thread (`_lane_worker`) or else after lane 0.
+        Each layer's caches are single-writer: only its lane's thread writes
+        them. Lanes write into rows of full-batch arrays, and the head (Dense,
+        softmax_ce) and every sum over the batch (the loss, each conv's bias
+        and weight grads) run once, in the calling thread, on the whole batch
+        in batch order; so the bytes are those of a one-lane pass.
+        """
         self._check_batch(x4)
-        h = x4.astype(self.dtype, copy=False)
-        for layer in self.layers[:-1]:
+        x = x4.astype(self.dtype, copy=False)
+        b, cut = x.shape[0], self._head
+        half = (b + 1) // 2
+        lanes = [(self.layers[:cut], slice(0, half))]
+        if cut and half < b:
+            if self._lane1 is None:
+                self._lane1 = [type(layer)(*layer.params()) for layer in self.layers[:cut]]
+            lanes.append((self._lane1, slice(half, b)))
+        worker = _lane_worker() if len(lanes) == 2 else None
+        err = np.geterr()  # errstate is per thread; the worker takes the caller's
+        h = np.empty((b, *self._shapes[cut]), dtype=x.dtype)
+        _in_lanes(worker, _forward_lane, [(layers, x[s], h[s], err) for layers, s in lanes])
+        for layer in self.layers[cut:-1]:
             h = layer.forward(h, cache=True)
         loss, _, grad = softmax_ce(h, labels)
-        for i in reversed(range(len(self.layers) - 1)):
-            layer = self.layers[i]
-            if i == 0 and layer.kind == "Conv2D":
-                # nothing consumes the gradient w.r.t. the raw input
-                layer.backward(grad, need_input_grad=False)
-            else:
-                grad = layer.backward(grad)
+        for layer in reversed(self.layers[cut:-1]):
+            grad = layer.backward(grad)
+        convs = [i for i in range(cut) if self.layers[i].kind == "Conv2D"]
+        ups = {i: np.empty((b, *self._shapes[i + 1]), dtype=x.dtype) for i in convs}
+        products = {i: np.empty((b, self.layers[i].weights[0].size, len(self.layers[i].weights)),
+                                dtype=x.dtype) for i in convs}
+        _in_lanes(worker, _backward_lane, [
+            (layers, grad[s], {i: u[s] for i, u in ups.items()},
+             {i: p[s] for i, p in products.items()}, err)
+            for layers, s in lanes
+        ])
+        for i in convs:
+            self.layers[i].accumulate(ups[i], products[i])
         return loss
 
     def parameters(self) -> list[np.ndarray]:
@@ -428,6 +475,62 @@ class Model:
         layers = [type(layer)(*(p.astype(dtype) for p in layer.params()))
                   for layer in self.layers]
         return Model(self.input_shape, self.n_classes, layers)
+
+
+def _forward_lane(layers, x, out, err) -> None:
+    """One lane's cached forward through the conv stack, into its rows of out."""
+    with np.errstate(**err):
+        for layer in layers:
+            x = layer.forward(x, cache=True)
+        out[...] = x
+
+
+def _backward_lane(layers, grad, ups, products, err) -> None:
+    """One lane's backward through the conv stack. Conv i's upstream grad
+    and per-sample weight-grad products go to the lane's rows of ups[i] and
+    products[i]; their sums over the batch are the caller's."""
+    with np.errstate(**err):
+        for i in reversed(range(len(layers))):
+            layer = layers[i]
+            if layer.kind == "Conv2D":
+                ups[i][...] = grad
+                # nothing consumes the gradient w.r.t. the raw input
+                grad = layer.backward(grad, need_input_grad=i > 0, products=products[i])
+            else:
+                grad = layer.backward(grad)
+
+
+def _in_lanes(worker, fn, jobs) -> None:
+    """fn(*job) for each lane's job: lane 1 on the worker while lane 0 runs
+    here, or, without a worker, one after the other."""
+    pending = worker.submit(fn, *jobs[1]) if worker is not None else None
+    try:
+        for job in jobs[:1] if pending else jobs:
+            fn(*job)
+    finally:
+        if pending:
+            pending.result()  # waits for lane 1, also when lane 0 raised, and re-raises
+
+
+_worker = None  # lane 1's thread pool of one, started by the first step that uses it
+_worker_lock = threading.Lock()  # so that two training threads start one worker
+
+
+def _lane_worker():
+    """The one worker thread, or None when the lanes run in turn: lanes run
+    in parallel only with two CPUs and one BLAS thread, as two lanes with
+    two BLAS threads each oversubscribe the cores (ert B=32 steps on 2 vCPU:
+    15 ms with one BLAS thread and the worker, 20-25 ms with two BLAS
+    threads, with the worker or without)."""
+    global _worker
+    if blas_threads() != 1 or len(os.sched_getaffinity(0)) < 2:
+        return None
+    with _worker_lock:
+        if _worker is None:
+            # imported here, not at module import: inference never loads it
+            from concurrent.futures import ThreadPoolExecutor
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="gazedir-lane")
+    return _worker
 
 
 def build_gaze_net(input_h: int, input_w: int, n_classes: int, seed: int = 0) -> Model:
@@ -510,6 +613,58 @@ def train_epoch(
     if not math.isfinite(mean_loss):
         raise FloatingPointError("training loss diverged (non-finite)")
     return mean_loss
+
+
+# --------------------------------------------------------------------------
+# BLAS thread count
+# --------------------------------------------------------------------------
+
+# (get, set) thread-count symbols: numpy's bundled OpenBLAS, then a system one
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_openblas_found: list = []  # the one lookup's result, once made
+
+
+def _openblas():
+    """(get, set) thread-count calls of the OpenBLAS this process has mapped,
+    found once in /proc/self/maps; None without one (MKL, Accelerate,
+    non-Linux)."""
+    if not _openblas_found:
+        try:
+            with open("/proc/self/maps", encoding="utf-8", errors="replace") as f:
+                paths = {line.split(None, 5)[5].rstrip("\n") for line in f
+                         if "openblas" in line.rsplit("/", 1)[-1].lower()}
+        except OSError:
+            paths = set()
+        libs = []
+        for path in sorted(paths):
+            try:
+                libs.append(ctypes.CDLL(path))
+            except OSError:  # unmapped since, or not loadable
+                pass
+        calls = next(((getattr(lib, get), getattr(lib, set_)) for lib in libs
+                      for get, set_ in _OPENBLAS_SYMBOLS
+                      if hasattr(lib, get) and hasattr(lib, set_)), None)
+        if calls is not None:  # int get(void); void set(int)
+            calls[0].argtypes, calls[0].restype = [], ctypes.c_int
+            calls[1].argtypes, calls[1].restype = [ctypes.c_int], None
+        _openblas_found.append(calls)
+    return _openblas_found[0]
+
+
+def blas_threads() -> int | None:
+    """The number of threads numpy's OpenBLAS runs; None when unknown."""
+    calls = _openblas()
+    return None if calls is None else calls[0]()
+
+
+def pin_blas_threads() -> None:
+    """Pins numpy's OpenBLAS to one thread, process-wide; a no-op without one."""
+    calls = _openblas()
+    if calls is not None:
+        calls[1](1)
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +191,14 @@ class TestConfig:
         ini.write_text(text)
         assert run(["train", "--config", str(ini)]) == 1
         assert "unknown section [DEFAULT]" in _single_error_line(capsys.readouterr().err)
+
+    def test_control_character_in_error_line_is_escaped(self, tmp_path, capsys):
+        # 0x1e is a line end to str.splitlines(), though not to "\n"
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(b"[tra\x1ein]\nepochs = 1\n")
+        assert run(["train", "--config", str(ini)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {ini}: unknown section [tra\\x1ein]"]
 
     def test_readme_ini_example_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -876,6 +886,54 @@ class TestBenchCommand:
         assert loaded == [str(trained / "models" / n) for n in (cli.MODEL_LEFT, cli.MODEL_RIGHT)]
 
 
+# runs each command line of argv[1] (a JSON list) through cli.main, one after
+# another in one process, and prints each exit code
+RUN_COMMANDS = (
+    "import json, sys\n"
+    "from gazedir import cli\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    print('exit', cli.main(argv))\n"
+)
+
+
+@pytest.mark.skipif(nn.blas_threads() is None, reason="no OpenBLAS thread count to pin")
+def test_outputs_do_not_depend_on_openblas_threads(tmp_path):
+    """cli.main pins BLAS to one thread: train, eval for every eye and
+    predict print and write the same bytes under OPENBLAS_NUM_THREADS=2 as
+    under =1, in roi and ert mode."""
+    data = tmp_path / "data"
+    assert run(["synth", "--out", str(data), "--n-per-class", "1", "--seed", "0"]) == 0
+    manifest = str(data / "manifest.csv")
+    sample = dataset.load_manifest(manifest)[0]
+    face, lm = sample.face, sample.landmarks
+    image = ["--image", str(data / sample.image_path),
+             "--face", f"{face.x},{face.y},{face.w},{face.h}",
+             "--landmarks", ",".join(str(v) for pt in (lm.left_outer, lm.left_inner,
+                                                       lm.right_inner, lm.right_outer)
+                                     for v in pt)]
+    commands = []
+    for mode in ("roi", "ert"):  # paths are relative to each run's own directory
+        common = ["--mode", mode, "--model-dir", mode, "--seed", "1"]
+        commands.append(["train", "--manifest", manifest, *common, "--epochs", "1"])
+        commands += [["eval", "--manifest", manifest, *common, "--eye", eye,
+                      "--report-dir", f"{mode}_{eye}"] for eye in dataset.EYES]
+        commands.append(["predict", *image, "--mode", mode, "--model-dir", mode])
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    runs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": package_root}
+        proc = subprocess.run([sys.executable, "-c", RUN_COMMANDS, json.dumps(commands)],
+                              cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        files = {str(p.relative_to(cwd)): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}
+        runs.append((proc.stdout, files))
+    assert runs[0][0].count("exit 0") == len(commands)
+    assert sorted(runs[0][1]) == sorted(runs[1][1])
+    assert runs[0] == runs[1]
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert run(["explode"]) == 1
@@ -969,6 +1027,30 @@ class TestRuntimeFailures:
         assert code == 1
         assert "diverged" in _single_error_line(capsys.readouterr().err)
         assert not (tmp_path / "models").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverged_training_on_the_lane_worker_exit_1(self, corpus, tmp_path, capsys,
+                                                          monkeypatch):
+        """numpy's error state is per thread: the worker's lane overflows
+        without a warning too, and the run ends in the one error line."""
+        monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(nn, "_worker", None)
+        try:
+            code = run([
+                "train", "--manifest", str(corpus / "manifest.csv"),
+                "--model-dir", str(tmp_path / "models"), "--mode", "ert",
+                "--epochs", "2", "--seed", "1", "--lr", "1e6",
+            ])
+            threaded = nn._worker is not None
+        finally:
+            if nn._worker is not None:
+                nn._worker.shutdown()
+        if not threaded:
+            pytest.skip("no OpenBLAS thread count to pin, so the lanes ran in turn")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "diverged" in _single_error_line(err)
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_lr_exit_1(self, corpus, tmp_path, capsys):
         code = run([

@@ -96,5 +96,6 @@ def test_mutated_input_keeps_the_exit_code_contract(runs, target, edits):
     assert code in (0, 1, 2), (code, err)
     if code == 0:
         assert err == ""
-    else:  # one line by "\n": the message may quote a control character from the file
-        assert err.count("\n") == 1 and err.startswith(("error:", "i/o error:")), err
+    else:  # one line, as str.splitlines() counts: quoted control characters are escaped
+        assert err.endswith("\n") and len(err.splitlines()) == 1, err
+        assert err.startswith(("error:", "i/o error:")), err

@@ -1,6 +1,8 @@
 """Model construction, training loop, gradient check, and binary model I/O."""
 
 import functools
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -207,6 +209,131 @@ def test_conv_inference_and_training_forward_agree_byte_for_byte(mode, b, dtype)
         conv = nn.Conv2D(layer.weights.astype(dtype), bias)
         x = rng.normal(size=(b, *shape)).astype(dtype)
         assert conv.forward(x).tobytes() == conv.forward(x, cache=True).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["roi", "ert"])
+def test_conv_weight_grad_equals_the_upstream_first_product(mode, dtype):
+    # backward forms cols @ upstream^T per sample; the sum over the batch is
+    # byte-identical to the (upstream @ cols^T).sum(0) form it replaced
+    for b in (1, 2, 16, 17, 32):
+        rng = np.random.default_rng(b)
+        for layer, shape in conv_layers_with_inputs(mode):
+            conv = nn.Conv2D(layer.weights.astype(dtype), layer.bias.astype(dtype))
+            out = conv.forward(rng.normal(size=(b, *shape)).astype(dtype), cache=True)
+            up = rng.normal(size=out.shape).astype(dtype)
+            conv.backward(up, need_input_grad=False)
+            expected = np.zeros_like(conv.weights)
+            expected += (up.reshape(b, up.shape[1], -1) @ conv._cols.transpose(0, 2, 1)).sum(
+                axis=0).reshape(conv.weights.shape)
+            assert conv.grad_weights.tobytes() == expected.tobytes()
+
+
+def one_lane_step(model, x4, labels):
+    """The training step in one lane: every layer's own forward and backward
+    on the whole batch, each conv summing its grads in backward."""
+    h = x4.astype(model.dtype, copy=False)
+    for layer in model.layers[:-1]:
+        h = layer.forward(h, cache=True)
+    loss, _, grad = nn.softmax_ce(h, labels)
+    for i in reversed(range(len(model.layers) - 1)):
+        layer = model.layers[i]
+        if layer.kind == "Conv2D":
+            grad = layer.backward(grad, need_input_grad=i > 0)
+        else:
+            grad = layer.backward(grad)
+    return loss
+
+
+def gaze_net_copy(mode, dtype):
+    """A fresh gaze net of the shared seed, so two copies train alike."""
+    return nn.build_gaze_net(*dataset.default_patch_hw(mode), 7, seed=9).astype(dtype)
+
+
+@pytest.fixture(params=[1, 2], ids=["worker", "in-turn"])
+def blas_query(request, monkeypatch):
+    """The lanes' BLAS thread query forced to 1 (lane 1 on a new worker
+    thread; two CPUs are reported) or to 2 (the lanes run in turn)."""
+    monkeypatch.setattr(nn, "blas_threads", lambda: request.param)
+    monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(nn, "_worker", None)
+    yield request.param
+    if nn._worker is not None:
+        nn._worker.shutdown()
+
+
+class TestLanes:
+    """Two batch lanes give the bytes of the one-lane step, threaded or in turn."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["roi", "ert"])
+    def test_step_equals_one_lane_byte_for_byte(self, blas_query, mode, dtype):
+        lanes, serial = (gaze_net_copy(mode, dtype) for _ in range(2))
+        for b in (1, 2, 3, 17, 32):
+            rng = np.random.default_rng(b)
+            x4 = rng.normal(size=(b, *lanes.input_shape)).astype(dtype)
+            labels = rng.integers(0, 7, size=b)
+            lanes.zero_grads()
+            serial.zero_grads()
+            loss = lanes.batch_loss_and_backward(x4, labels)
+            assert repr(loss) == repr(one_lane_step(serial, x4, labels))
+            for g, s in zip(lanes.gradients(), serial.gradients()):
+                assert g.tobytes() == s.tobytes()
+        assert (nn._worker is not None) == (blas_query == 1)
+
+    def test_ragged_epoch_equals_one_lane_byte_for_byte(self, blas_query, monkeypatch):
+        # 101 samples in batches of 32: the last batch of 5 splits 3 + 2
+        for mode in ("roi", "ert"):
+            lanes, serial = (gaze_net_copy(mode, np.float32) for _ in range(2))
+            rng = np.random.default_rng(5)
+            xs = rng.normal(size=(101, *lanes.input_shape)).astype(np.float32)
+            ys = rng.integers(0, 7, size=101)
+            loss = nn.train_epoch(lanes, xs, ys, 0.01, 32, rng_seed=1)
+            with monkeypatch.context() as m:
+                m.setattr(nn.Model, "batch_loss_and_backward", one_lane_step)
+                assert repr(loss) == repr(nn.train_epoch(serial, xs, ys, 0.01, 32, rng_seed=1))
+            for p, q in zip(lanes.parameters(), serial.parameters()):
+                assert p.tobytes() == q.tobytes()
+
+    def test_concurrent_trainings_equal_training_alone(self, blas_query):
+        # two threads train at once, sending their lanes 1 to the one worker,
+        # with the interpreter switching threads as often as it can
+        rng = np.random.default_rng(7)
+        xs = rng.normal(size=(101, 1, 15, 25)).astype(np.float32)
+        ys = rng.integers(0, 7, size=101)
+        alone = [gaze_net_copy("ert", np.float32) for _ in range(2)]
+        expected = [nn.train_epoch(m, xs, ys, 0.01, 32, rng_seed=i) for i, m in enumerate(alone)]
+        together = [gaze_net_copy("ert", np.float32) for _ in range(2)]
+        losses = [None, None]
+
+        def train(i):
+            losses[i] = nn.train_epoch(together[i], xs, ys, 0.01, 32, rng_seed=i)
+
+        threads = [threading.Thread(target=train, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [repr(v) for v in losses] == [repr(v) for v in expected]
+        for a, b in zip(alone, together):
+            assert [p.tobytes() for p in a.parameters()] == [p.tobytes() for p in b.parameters()]
+
+
+def test_inference_and_one_sample_steps_start_no_worker(monkeypatch):
+    monkeypatch.setattr(nn, "blas_threads", lambda: 1)
+    monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(nn, "_worker", None)
+    model = gaze_net_copy("ert", np.float32)
+    x4 = np.random.default_rng(1).normal(size=(4, 1, 15, 25)).astype(np.float32)
+    model.forward_batch(x4)
+    model.batch_loss_and_backward(x4[:1], np.array([3]))  # one sample is one lane
+    assert nn._worker is None
 
 
 class TestTrainEpoch:
