@@ -14,6 +14,8 @@ alone, so scores do not depend on how samples are stacked.
 `Model.batch_loss_and_backward` runs the conv stack in two batch lanes, one
 per core when BLAS runs one thread (`blas_threads`; `cli.main` pins it), and
 the head and every batch sum once, so training bytes do not depend on it.
+Training caches live for one `train_epoch`, and a conv backward that forms
+the input gradient unfolds the upstream into its forward's spent unfold.
 """
 
 from __future__ import annotations
@@ -122,6 +124,8 @@ def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> li
 # rejects inputs the layer cannot take; Model runs it once over the layer
 # list. backward(upstream) needs the caches of a forward(x, cache=True)
 # over the same batch, and raises ValueError when they are missing or stale.
+# A conv backward that forms the input gradient consumes its forward's
+# unfold. The fields a class names in _caches live for one train_epoch.
 # --------------------------------------------------------------------------
 
 def _check_upstream(layer, upstream: np.ndarray, input_shape: tuple | None) -> None:
@@ -136,6 +140,11 @@ def _check_upstream(layer, upstream: np.ndarray, input_shape: tuple | None) -> N
         )
 
 
+def _drop_caches(layer) -> None:
+    for name in layer._caches:
+        setattr(layer, name, None)
+
+
 class _Params:
     """Base of the layers with a weights tensor and a bias vector."""
 
@@ -146,6 +155,7 @@ class _Params:
         self.bias = bias
         self.grad_weights = np.zeros_like(weights)
         self.grad_bias = np.zeros_like(bias)
+        _drop_caches(self)
 
     def params(self):
         return [self.weights, self.bias]
@@ -158,6 +168,10 @@ class _NoParams:
     """Base of the layers without parameters."""
 
     n_params = 0
+    _caches = ()
+
+    def __init__(self):
+        _drop_caches(self)
 
     def params(self):
         return []
@@ -170,6 +184,7 @@ class Conv2D(_Params):
     """Same-padded stride-1 cross-correlation; weights are (O, C, kh, kw)."""
 
     kind = "Conv2D"
+    _caches = ("_cols", "_input_shape")
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
         if weights.ndim != 4:
@@ -180,9 +195,6 @@ class Conv2D(_Params):
         if bias.shape != (weights.shape[0],):
             raise ValueError("bias length must equal the number of output channels")
         super().__init__(weights, bias)
-        self._cols = None
-        self._bwd_cols = None
-        self._input_shape = None
 
     def output_shape(self, shape: tuple) -> tuple:
         if len(shape) != 3 or shape[0] != self.weights.shape[1]:
@@ -222,9 +234,9 @@ class Conv2D(_Params):
         # input gradient == same-padded correlation of upstream with kernels
         # flipped in both spatial dims and with in/out channels swapped
         flipped = np.ascontiguousarray(self.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-        kh, kw = flipped.shape[2], flipped.shape[3]
-        self._bwd_cols = _conv_cols(upstream, kh, kw, buf=self._bwd_cols)
-        return _conv_fwd(self._bwd_cols, flipped, None, (h, w)).reshape(cached)
+        self._input_shape = None  # the products are formed: the forward's unfold is spent
+        cols = _conv_cols(upstream, *flipped.shape[2:], buf=self._cols)
+        return _conv_fwd(cols, flipped, None, (h, w)).reshape(cached)
 
     def accumulate(self, upstream, products) -> None:
         """Adds the batch sums of a backward to the parameter grads, in batch order."""
@@ -234,22 +246,20 @@ class Conv2D(_Params):
 
 class ReLU(_NoParams):
     kind = "ReLU"
-
-    def __init__(self):
-        self._input = None
+    _caches = ("_mask",)
 
     def output_shape(self, shape: tuple) -> tuple:
         return shape
 
     def forward(self, x, cache=False):
         if cache:
-            self._input = x
+            self._mask = x > 0
         return np.maximum(x, 0)
 
     def backward(self, upstream):
         """Masked pass-through; the subgradient at exactly 0 is 0."""
-        _check_upstream(self, upstream, None if self._input is None else self._input.shape)
-        return upstream * (self._input > 0)
+        _check_upstream(self, upstream, None if self._mask is None else self._mask.shape)
+        return upstream * self._mask
 
 
 class MaxPool2(_NoParams):
@@ -261,10 +271,7 @@ class MaxPool2(_NoParams):
     """
 
     kind = "MaxPool2"
-
-    def __init__(self):
-        self._winner = None
-        self._input_shape = None
+    _caches = ("_winner", "_input_shape")
 
     def output_shape(self, shape: tuple) -> tuple:
         if len(shape) != 3 or shape[1] < 2 or shape[2] < 2:
@@ -301,6 +308,7 @@ class Dense(_Params):
     """Fully connected layer; flattens each sample to 1-D (row-major)."""
 
     kind = "Dense"
+    _caches = ("_input_shape", "_flat")
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
         if weights.ndim != 2 or bias.shape != (weights.shape[0],):
@@ -309,8 +317,6 @@ class Dense(_Params):
                 f"weights {weights.shape} and bias {bias.shape}"
             )
         super().__init__(weights, bias)
-        self._input_shape = None
-        self._flat = None
 
     def output_shape(self, shape: tuple) -> tuple:
         if math.prod(shape) != self.weights.shape[1]:
@@ -598,17 +604,21 @@ def train_epoch(
     total = 0.0
     # a diverging run overflows inside the kernels; the non-finite mean loss
     # below reports it once, instead of a numpy warning per overflowing op
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            x4 = np.stack([samples[i] for i in batch])
-            model.zero_grads()
-            total += model.batch_loss_and_backward(x4, labels[batch])
-            inv = 1.0 / len(batch)
-            for g in model.gradients():
-                g *= inv
-            if lr > 0:
-                sgd_step(model.parameters(), model.gradients(), lr)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, batch_size):
+                batch = order[start : start + batch_size]
+                x4 = np.stack([samples[i] for i in batch])
+                model.zero_grads()
+                total += model.batch_loss_and_backward(x4, labels[batch])
+                inv = 1.0 / len(batch)
+                for g in model.gradients():
+                    g *= inv
+                if lr > 0:
+                    sgd_step(model.parameters(), model.gradients(), lr)
+    finally:  # between epochs a model holds only its parameters and grads
+        for layer in model.layers + (model._lane1 or []):
+            _drop_caches(layer)
     mean_loss = total / n
     if not math.isfinite(mean_loss):
         raise FloatingPointError("training loss diverged (non-finite)")

@@ -68,6 +68,12 @@ class TestRelu:
         grad = fwd_bwd(nn.ReLU(), [-1.0, 0.0, 2.0], [1.0, 1.0, 1.0])
         npt.assert_array_equal(grad, [0.0, 0.0, 1.0])
         npt.assert_array_equal(fwd_bwd(nn.ReLU(), [3.0], [5.0]), [5.0])
+        # -0.0, +0.0 and NaN inputs pass nothing, and a negative upstream
+        # times a closed mask is -0.0: the bytes of upstream * (x > 0)
+        for dtype in (np.float32, np.float64):
+            x = np.array([-0.0, 0.0, np.nan, -1.0, 2.0, np.inf, -np.inf, 0.5], dtype=dtype)
+            up = np.array([-3.0, -2.0, -1.5, -1.0, -0.5, -4.0, -7.0, np.nan], dtype=dtype)
+            assert fwd_bwd(nn.ReLU(), x, up).tobytes() == (up * (x > 0)).tobytes()
 
     def test_backward_shape_mismatch(self):
         relu = nn.ReLU()
@@ -198,6 +204,20 @@ class TestConv2d:
         conv = nn.Conv2D(np.zeros((3, 1, 3, 3)), np.zeros(3))
         with pytest.raises(ValueError, match="no forward was cached"):
             conv.backward(np.zeros((1, 3, 4, 4)))
+
+    def test_input_grad_backward_consumes_the_forward(self):
+        # C_in == C_out, so the upstream's unfold fills the forward's buffer
+        rng = np.random.default_rng(8)
+        w, b = rng.normal(size=(3, 3, 3, 3)), rng.normal(size=3)
+        x, up = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(2, 3, 4, 5))
+        conv, fresh = nn.Conv2D(w, b), nn.Conv2D(w, b)
+        conv.forward(x, cache=True)
+        fresh.forward(x, cache=True)
+        # without the input grad the cache stays valid for another backward
+        assert conv.backward(up, need_input_grad=False) is None
+        assert conv.backward(up).tobytes() == fresh.backward(up).tobytes()
+        with pytest.raises(ValueError, match="no forward was cached"):
+            conv.backward(up)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

@@ -3,6 +3,7 @@
 import functools
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -170,7 +171,7 @@ class TestForwardBatch:
         # the purity contract: no cache written, no view of a scratch array kept
         model = nn.build_gaze_net(15, 25, 7)
         rng = np.random.default_rng(4)
-        if trained:  # fills Conv2D._cols/_input_shape, ReLU._input, MaxPool2._winner, Dense._flat
+        if trained:  # fills Conv2D._cols/_input_shape, ReLU._mask, MaxPool2._winner, Dense._flat
             x4 = rng.normal(size=(3, 1, 15, 25)).astype(np.float32)
             model.batch_loss_and_backward(x4, np.array([0, 3, 6]))
 
@@ -323,6 +324,62 @@ class TestLanes:
         assert [repr(v) for v in losses] == [repr(v) for v in expected]
         for a, b in zip(alone, together):
             assert [p.tobytes() for p in a.parameters()] == [p.tobytes() for p in b.parameters()]
+
+
+def held_caches(model):
+    """(kind, field) of every non-None layer field, other than parameters
+    and grads, of the model and of its lane-1 clones."""
+    own = {"weights", "bias", "grad_weights", "grad_bias"}
+    return [(layer.kind, k) for layer in model.layers + (model._lane1 or [])
+            for k, v in vars(layer).items() if k not in own and v is not None]
+
+
+class TestCacheLifetimes:
+    """Step caches last one epoch, and a conv's unfold one backward."""
+
+    def test_epoch_leaves_no_cache(self, blas_query):
+        model = gaze_net_copy("ert", np.float32)
+        rng = np.random.default_rng(6)
+        xs = rng.normal(size=(101, *model.input_shape)).astype(np.float32)
+        ys = rng.integers(0, 7, size=101)
+        model.batch_loss_and_backward(xs[:32], ys[:32])
+        assert model._lane1 is not None and held_caches(model)  # a step holds caches
+        nn.train_epoch(model, xs, ys, 0.01, 32, rng_seed=1)
+        assert held_caches(model) == []
+        with pytest.raises(FloatingPointError, match="diverged"):
+            nn.train_epoch(model, xs, ys, 1e10, 32, rng_seed=2)
+        assert held_caches(model) == []
+
+    def test_epoch_that_raises_midway_leaves_no_cache(self, blas_query, monkeypatch):
+        model = gaze_net_copy("ert", np.float32)
+        rng = np.random.default_rng(6)
+        xs = rng.normal(size=(64, *model.input_shape)).astype(np.float32)
+
+        def fails(*args):
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(nn, "sgd_step", fails)
+        with pytest.raises(RuntimeError, match="stop"):
+            nn.train_epoch(model, xs, rng.integers(0, 7, size=64), 0.01, 32, rng_seed=1)
+        assert model._lane1 is not None and held_caches(model) == []
+
+    def test_warm_step_peak_memory(self, blas_query):
+        # ert, B=32: this step peaks at ~16.2 MB traced in either lane mode.
+        # The bound sits one lane's conv2 unfold (3.2 MB) above that, so a
+        # second unfold of conv2's upstream, held beside the forward's, fails it.
+        model = gaze_net_copy("ert", np.float32)
+        rng = np.random.default_rng(7)
+        x4 = rng.normal(size=(32, *model.input_shape)).astype(np.float32)
+        labels = rng.integers(0, 7, size=32)
+        tracemalloc.start()
+        try:
+            model.batch_loss_and_backward(x4, labels)
+            tracemalloc.reset_peak()
+            model.batch_loss_and_backward(x4, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 19.4e6
 
 
 def test_inference_and_one_sample_steps_start_no_worker(monkeypatch):
